@@ -47,6 +47,17 @@ inline constexpr uint32_t CountlZero(uint64_t x) {
 #endif
 }
 
+/// Number of set bits.
+inline constexpr uint32_t PopCount(uint64_t x) {
+#if defined(__GNUC__) || defined(__clang__)
+  return static_cast<uint32_t>(__builtin_popcountll(x));
+#else
+  uint32_t n = 0;
+  for (; x != 0; x &= x - 1) ++n;
+  return n;
+#endif
+}
+
 /// Smallest power of two >= x (BitCeil(0) == 1). Unlike std::bit_ceil, inputs
 /// above 2^63 saturate to 2^63 instead of being undefined.
 inline constexpr uint64_t BitCeil(uint64_t x) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/bits.h"
 #include "common/hash_simd.h"
 #include "common/logging.h"
 #include "common/simd.h"
@@ -20,6 +21,12 @@ namespace {
 constexpr uint32_t kVectorArgminMinBuckets = 256;
 constexpr uint32_t kVectorArgminMaxBuckets = 1u << 30;
 
+// A min-level refill reads every load once, a head candidate costs a hash
+// and a load: a D-Choices row with fewer than W / this many candidates
+// scans its prefix rather than pay a refill (on Zipf(1.5) at W=1024,
+// D-Choices(4) ran about twice as slow when every such row refilled).
+constexpr uint32_t kCandidatesPerRefill = 16;
+
 /// Members the head hash family needs: the D-Choices cap (adaptive or
 /// fixed). Plain W-Choices never hashes head keys, so one member suffices.
 uint32_t HeadFamilySize(const HeavyHitterPkgOptions& options,
@@ -28,6 +35,86 @@ uint32_t HeadFamilySize(const HeavyHitterPkgOptions& options,
   if (cap == 0) cap = options.adaptive_head ? workers : 1;
   return std::max(1u, std::min(cap, workers));
 }
+
+/// The workers at the minimum of a kVectorArgmin frame's estimate row,
+/// kept exact through one FusedRoute call so heavy rows skip the W-wide
+/// argmin. Every send of the call goes through OnSend. Within a call only
+/// those sends touch the row, each adds exactly 1, so the set only
+/// shrinks: a send to a member clears its bit. Once the last member is
+/// gone every load is >= level + 1, and the next heavy row refills the
+/// set with one pass at level + 1 (the new minimum, unless later sends
+/// lifted every worker there, in which case a min pass finds it). Heavy
+/// rows only ever query a non-empty set, and two facts make its answers
+/// the scalar argmin: the lowest set bit is the lowest-index minimum (the
+/// full scan's tie-break), and a candidate at the global minimum is the
+/// lightest candidate there can be, so the first such candidate in hash
+/// order is the one the prefix scan would keep.
+class MinLevel {
+ public:
+  /// `bits` holds ceil(workers / 64) words; the set starts empty.
+  MinLevel(uint32_t workers, uint64_t* bits)
+      : workers_(workers), words_((workers + 63) / 64), bits_(bits) {
+    std::fill(bits_, bits_ + words_, 0);
+  }
+
+  bool empty() const { return count_ == 0; }
+
+  /// Fills the empty set from `loads`, the frame's estimate row.
+  void Refill(const uint64_t* loads) {
+    if (built_) {
+      ++level_;
+      Mark(loads);
+      if (count_ != 0) return;
+    }
+    level_ = *std::min_element(loads, loads + workers_);
+    built_ = true;
+    Mark(loads);
+  }
+
+  /// One message sent to `w` (branch-free; a no-op on an empty set).
+  void OnSend(WorkerId w) {
+    uint64_t& word = bits_[w >> 6];
+    const uint64_t bit = uint64_t{1} << (w & 63);
+    count_ -= (word & bit) != 0 ? 1 : 0;
+    word &= ~bit;
+  }
+
+  bool Contains(WorkerId w) const {
+    return ((bits_[w >> 6] >> (w & 63)) & 1) != 0;
+  }
+
+  /// Lowest-index member of the non-empty set. Bits are only cleared
+  /// between refills, so the first non-zero word only moves forward.
+  WorkerId First() {
+    while (bits_[first_word_] == 0) ++first_word_;
+    return first_word_ * 64 + CountrZero(bits_[first_word_]);
+  }
+
+ private:
+  /// The set becomes the workers whose load equals level_.
+  void Mark(const uint64_t* loads) {
+    count_ = 0;
+    first_word_ = 0;
+    for (uint32_t word = 0; word < words_; ++word) {
+      const uint32_t base = word * 64;
+      const uint32_t end = std::min(base + 64, workers_);
+      uint64_t bits = 0;
+      for (uint32_t w = base; w < end; ++w) {
+        bits |= static_cast<uint64_t>(loads[w] == level_) << (w - base);
+      }
+      bits_[word] = bits;
+      count_ += PopCount(bits);
+    }
+  }
+
+  uint32_t workers_;
+  uint32_t words_;
+  uint64_t* bits_;
+  uint32_t count_ = 0;
+  uint32_t first_word_ = 0;
+  uint64_t level_ = 0;
+  bool built_ = false;
+};
 
 }  // namespace
 
@@ -40,7 +127,9 @@ HeavyHitterAwarePkg::HeavyHitterAwarePkg(uint32_t sources, uint32_t workers,
       head_hash_(HeadFamilySize(options, workers), workers,
                  Fmix64(options.hash_seed) | 1),
       estimator_(std::move(estimator)),
-      options_(options) {
+      options_(options),
+      min_bits_((workers + 63) / 64),
+      head_scratch_(head_hash_.d()) {
   PKGSTREAM_CHECK(sources >= 1 && workers >= 1);
   PKGSTREAM_CHECK(options_.base_choices >= 1);
   PKGSTREAM_CHECK(options_.head_choices <= workers);
@@ -64,6 +153,8 @@ HeavyHitterAwarePkg::HeavyHitterAwarePkg(const HeavyHitterAwarePkg& other)
       sketches_(other.sketches_),
       source_messages_(other.source_messages_),
       heavy_routings_(other.heavy_routings_),
+      min_bits_(other.min_bits_.size()),
+      head_scratch_(other.head_scratch_.size()),
       alive_(other.alive_),
       degraded_(other.degraded_) {}
 
@@ -72,19 +163,35 @@ PartitionerPtr HeavyHitterAwarePkg::Clone() const {
 }
 
 bool HeavyHitterAwarePkg::IsHeavy(SourceId source, Key key) const {
-  uint64_t seen = source_messages_[source];
+  const uint64_t seen = source_messages_[source];
   if (seen < options_.min_messages) return false;
   const stats::SpaceSaving& sketch = sketches_[source];
   if (!sketch.Contains(key)) return false;
-  double share = static_cast<double>(sketch.Estimate(key)) /
-                 static_cast<double>(seen);
+  return IsHeavyCount(seen, sketch.Estimate(key));
+}
+
+bool HeavyHitterAwarePkg::IsHeavyCount(uint64_t seen, uint64_t count) const {
+  if (seen < options_.min_messages) return false;
+  double share = static_cast<double>(count) / static_cast<double>(seen);
   return share > options_.threshold_factor / static_cast<double>(workers_);
 }
 
 uint32_t HeavyHitterAwarePkg::HeadChoicesFor(SourceId source, Key key) const {
+  return HeadChoicesForCount(source_messages_[source],
+                             sketches_[source].Estimate(key));
+}
+
+uint32_t HeavyHitterAwarePkg::HeadChoicesForCount(uint64_t seen,
+                                                  uint64_t count) const {
   if (!options_.adaptive_head) {
     return options_.head_choices == 0 ? workers_ : options_.head_choices;
   }
+  const uint32_t cap = options_.head_choices == 0
+                           ? workers_
+                           : std::min(options_.head_choices, workers_);
+  // Nothing routed yet: no share to measure (0/0 would reach the uint32_t
+  // cast below as NaN), so the key gets the floor every d_k is held to.
+  if (seen == 0) return std::min(options_.base_choices, cap);
   // The sequel's rule: a candidate of a share-p key carries p/d_k of the
   // stream from that key ON TOP of its ~1/W background share, so keeping
   // the total within (1+eps)/W needs p/d_k <= eps/W, i.e.
@@ -95,16 +202,12 @@ uint32_t HeavyHitterAwarePkg::HeadChoicesFor(SourceId source, Key key) const {
   // d_k errs toward more spread, never less; the very head escalates past
   // workers() into the full-scan W-Choices path.
   const double share =
-      static_cast<double>(sketches_[source].Estimate(key)) /
-      static_cast<double>(source_messages_[source]);
+      static_cast<double>(count) / static_cast<double>(seen);
   const double spread =
       share * static_cast<double>(workers_) / options_.epsilon;
   uint32_t dk = spread >= static_cast<double>(workers_)
                     ? workers_
                     : static_cast<uint32_t>(std::ceil(spread));
-  const uint32_t cap = options_.head_choices == 0
-                           ? workers_
-                           : std::min(options_.head_choices, workers_);
   return std::min(std::max(dk, options_.base_choices), cap);
 }
 
@@ -233,6 +336,50 @@ void HeavyHitterAwarePkg::FusedRoute(SourceId source, Frame frame,
       simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2;
   stats::SpaceSaving& sketch = sketches_[source];
   uint64_t& seen = source_messages_[source];
+  // Frames whose estimates() is the whole row track its minimum level;
+  // every send of the call goes through send() to keep it exact.
+  MinLevel min_level(workers_, min_bits_.data());
+  const auto send = [&](WorkerId w) {
+    frame.OnSend(w);
+    if constexpr (Frame::kVectorArgmin) min_level.OnSend(w);
+  };
+  // The scalar argmin: least-loaded of the d candidates `candidate(i)`,
+  // the first one on ties.
+  const auto argmin = [&](uint32_t d, auto candidate) {
+    WorkerId best = candidate(0);
+    uint64_t best_load = frame.Estimate(best);
+    for (uint32_t i = 1; i < d; ++i) {
+      const WorkerId next = candidate(i);
+      const uint64_t load = frame.Estimate(next);
+      if (load < best_load) {
+        best = next;
+        best_load = load;
+      }
+    }
+    return best;
+  };
+  // A heavy row: all workers when d >= W (W-Choices), else the d-prefix
+  // of the head family (D-Choices).
+  const auto route_heavy = [&](Key key, uint32_t d) -> WorkerId {
+    const auto hash = [&](uint32_t i) { return head_hash_.Bucket(i, key); };
+    if constexpr (Frame::kVectorArgmin) {
+      if (min_level.empty()) {
+        if (d < workers_ / kCandidatesPerRefill) return argmin(d, hash);
+        min_level.Refill(frame.estimates());
+      }
+      if (d >= workers_) return min_level.First();
+      // Hashes go to head_scratch_ so the fallback scan reuses them.
+      WorkerId* const head = head_scratch_.data();
+      for (uint32_t i = 0; i < d; ++i) {
+        head[i] = hash(i);
+        if (min_level.Contains(head[i])) return head[i];
+      }
+      return argmin(d, [head](uint32_t i) { return head[i]; });
+    } else {
+      if (d < workers_) return argmin(d, hash);
+      return argmin(workers_, [](uint32_t w) { return w; });
+    }
+  };
   size_t done = 0;
   while (done < n) {
     const size_t len = std::min(kChunk, n - done);
@@ -240,16 +387,17 @@ void HeavyHitterAwarePkg::FusedRoute(SourceId source, Frame frame,
     // sequence, never on routing decisions, so feeding the whole chunk
     // ahead of the estimator protocol classifies message i against exactly
     // the sketch state the scalar Route would see — the heavy flags, the
-    // d_k values, and heavy_routings_ all match bit for bit.
+    // d_k values, and heavy_routings_ all match bit for bit. The key owns
+    // a counter right after Add, so Add's count is what IsHeavy and
+    // HeadChoicesFor would read back.
     for (size_t j = 0; j < len; ++j) {
-      const Key key = keys[done + j];
-      sketch.Add(key);
+      const uint64_t count = sketch.Add(keys[done + j]);
       ++seen;
-      const bool is_heavy = IsHeavy(source, key);
+      const bool is_heavy = IsHeavyCount(seen, count);
       heavy[j] = is_heavy ? 1 : 0;
       if (is_heavy) {
         ++heavy_routings_;
-        dk[j] = HeadChoicesFor(source, key);
+        dk[j] = HeadChoicesForCount(seen, count);
       }
     }
     if (columns) {
@@ -259,59 +407,21 @@ void HeavyHitterAwarePkg::FusedRoute(SourceId source, Frame frame,
     }
     // The one copy of the sequential protocol (cf. pkg.cc): BeginRoute,
     // Estimate over the row's candidate set, OnSend — identical to the
-    // scalar Route for every class of row.
+    // scalar Route for every class of row. Heavy rows over a
+    // kVectorArgmin frame skip the reads the min level makes redundant.
     const auto route_row = [&](size_t j) {
       const Key key = keys[done + j];
       frame.BeginRoute();
       WorkerId best;
-      uint64_t best_load;
       if (heavy[j]) {
-        if (dk[j] >= workers_) {
-          best = 0;
-          best_load = frame.Estimate(0);
-          for (WorkerId w = 1; w < workers_; ++w) {
-            const uint64_t load = frame.Estimate(w);
-            if (load < best_load) {
-              best = w;
-              best_load = load;
-            }
-          }
-        } else {
-          best = head_hash_.Bucket(0, key);
-          best_load = frame.Estimate(best);
-          for (uint32_t i = 1; i < dk[j]; ++i) {
-            const WorkerId candidate = head_hash_.Bucket(i, key);
-            const uint64_t load = frame.Estimate(candidate);
-            if (load < best_load) {
-              best = candidate;
-              best_load = load;
-            }
-          }
-        }
+        best = route_heavy(key, dk[j]);
       } else if (columns) {
-        best = cand[0][j];
-        best_load = frame.Estimate(best);
-        for (uint32_t c = 1; c < b; ++c) {
-          const WorkerId candidate = cand[c][j];
-          const uint64_t load = frame.Estimate(candidate);
-          if (load < best_load) {
-            best = candidate;
-            best_load = load;
-          }
-        }
+        best = argmin(b, [&](uint32_t c) { return cand[c][j]; });
       } else {
-        best = tail_hash_.Bucket(0, key);
-        best_load = frame.Estimate(best);
-        for (uint32_t i = 1; i < b; ++i) {
-          const WorkerId candidate = tail_hash_.Bucket(i, key);
-          const uint64_t load = frame.Estimate(candidate);
-          if (load < best_load) {
-            best = candidate;
-            best_load = load;
-          }
-        }
+        best = argmin(
+            b, [&](uint32_t i) { return tail_hash_.Bucket(i, key); });
       }
-      frame.OnSend(best);
+      send(best);
       out[done + j] = best;
     };
     size_t j = 0;
@@ -337,7 +447,7 @@ void HeavyHitterAwarePkg::FusedRoute(SourceId source, Frame frame,
                                                out + done + j);
           }
           if (committed) {
-            for (size_t t = j; t < j + 4; ++t) frame.OnSend(out[done + t]);
+            for (size_t t = j; t < j + 4; ++t) send(out[done + t]);
           } else {
             for (size_t t = j; t < j + 4; ++t) route_row(t);
           }

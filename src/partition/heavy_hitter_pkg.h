@@ -112,6 +112,7 @@ class HeavyHitterAwarePkg final : public Partitioner {
   /// The choice count a heavy `key` gets *right now* (>= workers() means
   /// the full-scan W-Choices path). Deterministic in the sketch state, so
   /// batch classification can precompute it without touching the estimator.
+  /// A source that has routed nothing yet gets the base_choices floor.
   uint32_t HeadChoicesFor(SourceId source, Key key) const;
 
   /// Messages routed through the expanded-choice path (diagnostics).
@@ -124,6 +125,12 @@ class HeavyHitterAwarePkg final : public Partitioner {
   /// Route with dead workers filtered out of every candidate scan (the
   /// degraded_ slow path; same sketch + estimator protocol as Route).
   WorkerId RouteDegraded(SourceId source, Key key);
+
+  /// IsHeavy and HeadChoicesFor for a key the sketch tracks with estimated
+  /// `count` after `seen` messages from its source: the batch pre-pass
+  /// feeds them SpaceSaving::Add's result instead of probing the sketch.
+  bool IsHeavyCount(uint64_t seen, uint64_t count) const;
+  uint32_t HeadChoicesForCount(uint64_t seen, uint64_t count) const;
 
   /// The fused batch loop behind RouteBatch, devirtualized over the
   /// estimator's routing frame (same pattern as pkg.cc).
@@ -140,6 +147,10 @@ class HeavyHitterAwarePkg final : public Partitioner {
   std::vector<stats::SpaceSaving> sketches_;  // one per source
   std::vector<uint64_t> source_messages_;
   uint64_t heavy_routings_ = 0;
+  /// FusedRoute scratch, sized here so routing never allocates: the
+  /// min-level bitset (one bit per worker) and a heavy row's head hashes.
+  std::vector<uint64_t> min_bits_;
+  std::vector<WorkerId> head_scratch_;
   /// Alive mask; degraded_ == false guarantees the untouched healthy path.
   std::vector<uint8_t> alive_;
   bool degraded_ = false;

@@ -47,19 +47,19 @@ void SpaceSaving::SiftUp(size_t i) {
   }
 }
 
-void SpaceSaving::Add(Key key, uint64_t increment) {
+uint64_t SpaceSaving::Add(Key key, uint64_t increment) {
   processed_ += increment;
   auto it = index_.find(key);
   if (it != index_.end()) {
-    heap_[it->second].count += increment;
+    const uint64_t count = heap_[it->second].count += increment;
     SiftDown(it->second);
-    return;
+    return count;
   }
   if (heap_.size() < capacity_) {
     heap_.push_back(HeapNode{key, increment, 0});
     index_[key] = heap_.size() - 1;
     SiftUp(heap_.size() - 1);
-    return;
+    return increment;
   }
   // Evict the minimum: the newcomer inherits min_count as its error bound.
   HeapNode& root = heap_[0];
@@ -68,6 +68,7 @@ void SpaceSaving::Add(Key key, uint64_t increment) {
   root = HeapNode{key, min_count + increment, min_count};
   index_[key] = 0;
   SiftDown(0);
+  return min_count + increment;
 }
 
 uint64_t SpaceSaving::Estimate(Key key) const {

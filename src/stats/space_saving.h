@@ -40,8 +40,10 @@ class SpaceSaving {
   /// `capacity` is the number of tracked counters (the paper's c = O(1/eps)).
   explicit SpaceSaving(size_t capacity);
 
-  /// Processes `increment` occurrences of `key`.
-  void Add(Key key, uint64_t increment = 1);
+  /// Processes `increment` occurrences of `key` and returns its estimated
+  /// count afterwards. The key always owns a counter after Add, so the
+  /// result equals Estimate(key) — one index probe instead of two.
+  uint64_t Add(Key key, uint64_t increment = 1);
 
   /// Estimated count of `key`: its counter when tracked, otherwise the
   /// summary's minimum count (the standard upper bound).

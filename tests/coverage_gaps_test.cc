@@ -1,13 +1,15 @@
 // Copyright 2026 The pkgstream Authors.
 // Targeted tests for corners the main suites do not reach: multi-instance
 // spouts in the event simulator, word-encoding boundaries, diamond
-// topologies under the threaded runtime, formatter rounding edges.
+// topologies under the threaded runtime, formatter rounding edges, the
+// bit utilities.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "apps/wordcount.h"
+#include "common/bits.h"
 #include "common/table.h"
 #include "engine/event_sim.h"
 #include "engine/threaded_runtime.h"
@@ -134,6 +136,18 @@ TEST(ThreadedRuntimeDiamondTest, FanOutFanInConserves) {
   (*rt)->Finish();
   ASSERT_NE(sink_op, nullptr);
   EXPECT_EQ(sink_op->seen.load(), 2ull * n);
+}
+
+TEST(BitsTest, PopCountMatchesABitLoop) {
+  EXPECT_EQ(PopCount(0), 0u);
+  EXPECT_EQ(PopCount(~uint64_t{0}), 64u);
+  EXPECT_EQ(PopCount(uint64_t{1} << 63), 1u);
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 64; ++i, x = x * 6364136223846793005ULL + 1) {
+    uint32_t expected = 0;
+    for (int b = 0; b < 64; ++b) expected += (x >> b) & 1;
+    EXPECT_EQ(PopCount(x), expected) << std::hex << x;
+  }
 }
 
 TEST(FormatCompactEdgeTest, RoundingBoundaries) {

@@ -11,12 +11,19 @@
 //  * Warm-up: nothing routes through the expanded-choice path before
 //    min_messages per source, no matter how hot the key.
 //  * Bit-equality: RouteBatch == n scalar Routes (decisions AND state),
-//    and Clone() == original, across policies x workers {16, 256, 1024} x
-//    seeds x ragged interleaved batches with a rotating source — the same
-//    matrix partition_route_batch_test.cc pins for the other techniques,
-//    here driven through direct construction so every estimator frame
-//    (L, G, LP) and every head policy is covered, including the fused
-//    SIMD tail path at wide worker counts.
+//    and Clone() == original, across policies x workers {16, 256, 500,
+//    1024} x seeds x ragged interleaved batches with a rotating source —
+//    the same matrix partition_route_batch_test.cc pins for the other
+//    techniques, here driven through direct construction so every
+//    estimator frame (L, G, LP) and every head policy is covered,
+//    including the fused SIMD tail path at wide worker counts. 500 is not
+//    a multiple of 64, so the batch path's min-level bitset runs with a
+//    partial last word.
+//  * The same bit-equality over two adversarial streams aimed at the
+//    batch path's min-level tracker (L and G frames): one drains the
+//    minimum level on nearly every send, forcing refills, and one keeps
+//    every D-Choices candidate above the minimum, forcing the fallback
+//    scan over the buffered head hashes.
 
 #include <gtest/gtest.h>
 
@@ -113,10 +120,37 @@ LoadEstimatorPtr MakeEstimator(EstimatorKind kind, uint32_t workers) {
   return nullptr;
 }
 
-std::unique_ptr<HeavyHitterAwarePkg> MakePkg(const PropertyCase& c) {
+/// `preload[w]` sends to worker w, made through the estimator's own
+/// protocol for every source before the partitioner routes anything.
+std::unique_ptr<HeavyHitterAwarePkg> MakePkg(
+    const PropertyCase& c, const std::vector<uint64_t>& preload = {}) {
+  LoadEstimatorPtr estimator = MakeEstimator(c.estimator, c.workers);
+  for (SourceId s = 0; s < kSources; ++s) {
+    for (WorkerId w = 0; w < preload.size(); ++w) {
+      for (uint64_t i = 0; i < preload[w]; ++i) estimator->OnSend(s, w);
+    }
+  }
   return std::make_unique<HeavyHitterAwarePkg>(
-      kSources, c.workers, MakeEstimator(c.estimator, c.workers),
-      OptionsFor(c));
+      kSources, c.workers, std::move(estimator), OptionsFor(c));
+}
+
+/// The documented hash families: tail = (base_choices, W, seed); head =
+/// (head cap, W, Fmix64(seed) | 1).
+HashFamily TailFamily(const HeavyHitterPkgOptions& options,
+                      uint32_t workers) {
+  return HashFamily(options.base_choices, workers, options.hash_seed);
+}
+
+uint32_t HeadCap(const HeavyHitterPkgOptions& options, uint32_t workers) {
+  return options.head_choices == 0
+             ? (options.adaptive_head ? workers : 1)
+             : std::min(options.head_choices, workers);
+}
+
+HashFamily HeadFamily(const HeavyHitterPkgOptions& options,
+                      uint32_t workers) {
+  return HashFamily(std::max(1u, HeadCap(options, workers)), workers,
+                    Fmix64(options.hash_seed) | 1);
 }
 
 const char* PolicyName(HeadPolicy p) {
@@ -157,7 +191,7 @@ std::vector<PropertyCase> AllCases() {
   for (HeadPolicy policy :
        {HeadPolicy::kWChoices, HeadPolicy::kFixedD, HeadPolicy::kAdaptive,
         HeadPolicy::kAdaptiveCapped}) {
-    for (uint32_t workers : {16u, 256u, 1024u}) {
+    for (uint32_t workers : {16u, 256u, 500u, 1024u}) {
       for (uint64_t seed : {7ull, 42ull}) {
         cases.push_back(
             PropertyCase{policy, EstimatorKind::kLocal, workers, seed});
@@ -180,15 +214,10 @@ TEST_P(HeavyHitterPkgPropertyTest, DecisionsStayInTheirCandidateSets) {
   const PropertyCase& c = GetParam();
   auto pkg = MakePkg(c);
   const HeavyHitterPkgOptions options = OptionsFor(c);
-  // Twin hash families, rebuilt from the documented construction: tail =
-  // (base_choices, W, seed); head = (head cap, W, Fmix64(seed) | 1).
-  const HashFamily tail(options.base_choices, c.workers, options.hash_seed);
-  const uint32_t head_cap =
-      options.head_choices == 0
-          ? (options.adaptive_head ? c.workers : 1)
-          : std::min(options.head_choices, c.workers);
-  const HashFamily head(std::max(1u, head_cap), c.workers,
-                        Fmix64(options.hash_seed) | 1);
+  // Twin hash families, rebuilt from the documented construction.
+  const HashFamily tail = TailFamily(options, c.workers);
+  const uint32_t head_cap = HeadCap(options, c.workers);
+  const HashFamily head = HeadFamily(options, c.workers);
 
   uint64_t heavy_seen = 0;
   uint64_t tail_seen = 0;
@@ -261,22 +290,24 @@ TEST_P(HeavyHitterPkgPropertyTest, WarmUpKeepsEverythingOnTheTailPath) {
   EXPECT_GT(pkg->heavy_routings(), 0u);
 }
 
-TEST_P(HeavyHitterPkgPropertyTest, RouteBatchAndCloneAreBitIdentical) {
-  const PropertyCase& c = GetParam();
-  auto scalar = MakePkg(c);
-  auto batch = MakePkg(c);
-
+/// Routes `keys` through `batch` in ragged RouteBatch calls with a
+/// rotating source and one by one through `scalar`, then checks that the
+/// two agree in state too: their Clone()s and the originals keep routing
+/// identically on a probe stream.
+void ExpectBatchMatchesScalar(HeavyHitterAwarePkg* scalar,
+                              HeavyHitterAwarePkg* batch,
+                              const std::vector<Key>& keys,
+                              uint64_t probe_seed) {
   const size_t chunk_sizes[] = {1, 7, 64, 29};  // ragged, non-power-of-2 mix
   std::vector<Key> key_buf;
   std::vector<WorkerId> batch_out;
   size_t pos = 0;
   size_t chunk = 0;
   SourceId source = 0;
-  while (pos < kMessages) {
-    const size_t len = std::min(chunk_sizes[chunk % 4], kMessages - pos);
-    key_buf.resize(len);
+  while (pos < keys.size()) {
+    const size_t len = std::min(chunk_sizes[chunk % 4], keys.size() - pos);
+    key_buf.assign(keys.begin() + pos, keys.begin() + pos + len);
     batch_out.assign(len, kInvalidWorker);
-    for (size_t j = 0; j < len; ++j) key_buf[j] = PropertyKey(c.seed, pos + j);
     batch->RouteBatch(source, key_buf.data(), batch_out.data(), len);
     for (size_t j = 0; j < len; ++j) {
       const WorkerId expected = scalar->Route(source, key_buf[j]);
@@ -299,7 +330,7 @@ TEST_P(HeavyHitterPkgPropertyTest, RouteBatchAndCloneAreBitIdentical) {
   auto* scalar_clone_hh =
       static_cast<HeavyHitterAwarePkg*>(scalar_clone.get());
   for (size_t i = 0; i < kStateProbeMessages; ++i) {
-    const Key key = PropertyKey(c.seed ^ 0xabcdef, i);
+    const Key key = PropertyKey(probe_seed ^ 0xabcdef, i);
     const SourceId s = static_cast<SourceId>(i % kSources);
     ASSERT_EQ(batch_clone->Route(s, key), scalar_clone->Route(s, key))
         << "clone state diverged at probe message " << i;
@@ -309,7 +340,7 @@ TEST_P(HeavyHitterPkgPropertyTest, RouteBatchAndCloneAreBitIdentical) {
   }
   // ... and on the originals.
   for (size_t i = 0; i < kStateProbeMessages; ++i) {
-    const Key key = PropertyKey(c.seed ^ 0x123457, i);
+    const Key key = PropertyKey(probe_seed ^ 0x123457, i);
     const SourceId s = static_cast<SourceId>(i % kSources);
     ASSERT_EQ(batch->Route(s, key), scalar->Route(s, key))
         << "post-batch state diverged at probe message " << i;
@@ -317,8 +348,117 @@ TEST_P(HeavyHitterPkgPropertyTest, RouteBatchAndCloneAreBitIdentical) {
   EXPECT_EQ(batch->heavy_routings(), scalar->heavy_routings());
 }
 
+TEST_P(HeavyHitterPkgPropertyTest, RouteBatchAndCloneAreBitIdentical) {
+  const PropertyCase& c = GetParam();
+  auto scalar = MakePkg(c);
+  auto batch = MakePkg(c);
+  std::vector<Key> keys(kMessages);
+  for (size_t i = 0; i < kMessages; ++i) keys[i] = PropertyKey(c.seed, i);
+  ExpectBatchMatchesScalar(scalar.get(), batch.get(), keys, c.seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, HeavyHitterPkgPropertyTest,
                          testing::ValuesIn(AllCases()), CaseName);
+
+// Adversarial streams for the min-level tracker the batch path keeps over
+// the L and G frames' estimate rows.
+enum class Stream {
+  // Every worker but the last (in the partial bitset word at W=500) is
+  // preloaded far above it, so the minimum level is that one worker and
+  // each send to it empties the level. Two thirds of the stream is one
+  // red-hot key whose full-scan rows do exactly that; the rest are
+  // once-only keys with the last worker among their tail candidates, so a
+  // tail row lifts it again before the next refill, which then finds
+  // nothing at the expected level and falls back to a min pass.
+  kDrain,
+  // Every head candidate the hot keys could ever get (their whole head
+  // hash prefix) is preloaded far above the rest, so no D-Choices prefix
+  // holds a minimum-level worker and heavy prefix rows take the fallback
+  // scan over the buffered hashes. The keys sit at 20% of the stream
+  // (heavy at every W) and at 2% (heavy at W >= 256, with d_k well below
+  // W under the adaptive policy).
+  kMiss,
+};
+
+struct AdversarialCase {
+  PropertyCase base;
+  Stream stream;
+};
+
+std::string AdversarialName(
+    const testing::TestParamInfo<AdversarialCase>& info) {
+  const PropertyCase& c = info.param.base;
+  return std::string(info.param.stream == Stream::kDrain ? "Drain" : "Miss") +
+         "_" + PolicyName(c.policy) + "_" + EstimatorName(c.estimator) +
+         "_w" + std::to_string(c.workers);
+}
+
+std::vector<AdversarialCase> AdversarialCases() {
+  std::vector<AdversarialCase> cases;
+  for (Stream stream : {Stream::kDrain, Stream::kMiss}) {
+    for (HeadPolicy policy :
+         {HeadPolicy::kWChoices, HeadPolicy::kFixedD, HeadPolicy::kAdaptive,
+          HeadPolicy::kAdaptiveCapped}) {
+      for (EstimatorKind estimator :
+           {EstimatorKind::kLocal, EstimatorKind::kGlobal}) {
+        for (uint32_t workers : {16u, 256u, 500u, 1024u}) {
+          cases.push_back(AdversarialCase{
+              PropertyCase{policy, estimator, workers, 42ull}, stream});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+class HeavyHitterPkgAdversarialTest
+    : public testing::TestWithParam<AdversarialCase> {};
+
+TEST_P(HeavyHitterPkgAdversarialTest, RouteBatchAndCloneAreBitIdentical) {
+  const PropertyCase& c = GetParam().base;
+  const HeavyHitterPkgOptions options = OptionsFor(c);
+  constexpr Key kHot = 5;
+  constexpr Key kWarm = 6;
+  std::vector<uint64_t> preload(c.workers, 0);
+  std::vector<Key> keys(kMessages);
+  if (GetParam().stream == Stream::kDrain) {
+    const WorkerId last = c.workers - 1;
+    for (WorkerId w = 0; w < last; ++w) preload[w] = kMessages;
+    const HashFamily tail = TailFamily(options, c.workers);
+    Key next = 1000000;
+    for (size_t i = 0; i < kMessages; ++i) {
+      if (i % 3 != 2) {
+        keys[i] = kHot;
+        continue;
+      }
+      bool touches_last = false;
+      while (!touches_last) {
+        ++next;
+        for (uint32_t m = 0; m < tail.d(); ++m) {
+          touches_last = touches_last || tail.Bucket(m, next) == last;
+        }
+      }
+      keys[i] = next;
+    }
+  } else {
+    const HashFamily head = HeadFamily(options, c.workers);
+    for (uint32_t m = 0; m < head.d(); ++m) {
+      preload[head.Bucket(m, kHot)] = kMessages;
+      preload[head.Bucket(m, kWarm)] = kMessages;
+    }
+    for (size_t i = 0; i < kMessages; ++i) {
+      keys[i] = i % 5 == 0 ? kHot : i % 50 == 1 ? kWarm : 1000000 + i;
+    }
+  }
+  auto scalar = MakePkg(c, preload);
+  auto batch = MakePkg(c, preload);
+  ExpectBatchMatchesScalar(scalar.get(), batch.get(), keys, c.seed);
+  EXPECT_GT(scalar->heavy_routings(), 0u) << "stream produced no heavy rows";
+}
+
+INSTANTIATE_TEST_SUITE_P(MinLevel, HeavyHitterPkgAdversarialTest,
+                         testing::ValuesIn(AdversarialCases()),
+                         AdversarialName);
 
 }  // namespace
 }  // namespace partition

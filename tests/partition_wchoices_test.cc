@@ -128,6 +128,22 @@ TEST(WChoicesTest, PerSourceDetectionIsIndependent) {
   EXPECT_FALSE(p.IsHeavy(1, 7));
 }
 
+TEST(WChoicesTest, AdaptiveHeadChoicesOnAFreshSourceIsTheBaseFloor) {
+  // No message routed yet means no share to measure: the answer is the
+  // base_choices floor, never a 0/0 share pushed through the d_k cast.
+  HeavyHitterPkgOptions options;
+  options.adaptive_head = true;
+  options.base_choices = 3;
+  HeavyHitterAwarePkg p(2, 64, std::make_unique<LocalLoadEstimator>(2, 64),
+                        options);
+  EXPECT_EQ(p.HeadChoicesFor(0, 7), 3u);
+  EXPECT_EQ(p.HeadChoicesFor(1, 7), 3u);
+  // Source 1 stays fresh while source 0 routes.
+  for (int i = 0; i < 100; ++i) p.Route(0, 7);
+  EXPECT_EQ(p.HeadChoicesFor(1, 7), 3u);
+  EXPECT_EQ(p.HeadChoicesFor(0, 7), 64u);  // share 1: every worker
+}
+
 TEST(WChoicesTest, NameReflectsPolicy) {
   EXPECT_EQ(MakeWChoices(8)->Name(), "W-Choices-G");
   HeavyHitterPkgOptions options;

@@ -227,6 +227,34 @@ TEST(SpaceSavingHardeningTest, MergeIntoUnderfullSummaryAddsNoPhantomError) {
   EXPECT_EQ(a.Entry(3).error, 0u);
 }
 
+TEST(SpaceSavingHardeningTest, AddReturnsTheCountEstimateReadsBack) {
+  // The D-Choices classifier takes Add's result in place of Estimate, so
+  // the two must agree on every path through Add.
+  SpaceSaving ss(2);
+  EXPECT_EQ(ss.Add(1), 1u);  // insert into spare capacity
+  EXPECT_EQ(ss.Estimate(1), 1u);
+  EXPECT_EQ(ss.Add(2, 3), 3u);  // insert, weighted
+  EXPECT_EQ(ss.Estimate(2), 3u);
+  EXPECT_EQ(ss.Add(1, 4), 5u);  // increment
+  EXPECT_EQ(ss.Estimate(1), 5u);
+  EXPECT_EQ(ss.Add(2), 4u);  // increment that moves the key in the heap
+  EXPECT_EQ(ss.Estimate(2), 4u);
+  EXPECT_EQ(ss.Add(9), 5u);  // evict key 2 (min 4): 4 + 1
+  EXPECT_FALSE(ss.Contains(2));
+  EXPECT_EQ(ss.Estimate(9), 5u);
+  EXPECT_EQ(ss.Entry(9).error, 4u);
+
+  // And over a churning stream, every Add.
+  SpaceSaving churn(16);
+  Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    const Key key = rng.UniformInt(64);
+    const uint64_t returned = churn.Add(key);
+    ASSERT_TRUE(churn.Contains(key));
+    ASSERT_EQ(returned, churn.Estimate(key)) << "add " << i;
+  }
+}
+
 }  // namespace
 }  // namespace stats
 }  // namespace pkgstream
