@@ -25,9 +25,9 @@
 //          stays within a small factor of SG — the sequel's headline,
 //          pinned by the committed baseline at W >= 500.
 //
-// With a single source the sharded runtime's routing and per-sink arrival
-// orders are byte-identical to thread-per-instance mode
-// (engine_threaded_sharded_test pins this), so the quantiles land in the
+// With a single source the runtime's routing and per-sink arrival orders
+// are byte-identical for every shard count (engine_threaded_sharded_test
+// pins this), so the quantiles land in the
 // deterministic "metrics" section and are exact-pinned on any host, under
 // any sanitizer. D/W-Choices run with heavy_min_messages = 100 (vs the
 // 1000-message default): these cells replay short streams and the warm-up
@@ -36,10 +36,10 @@
 //
 // Throughput leg (host-dependent, host_metrics + host invariants): the
 // multi-stage wordcount pipeline (2 spouts -> 8 counters -> 1 aggregator,
-// PKG-L) run closed-loop twice — thread-per-instance vs shards=4 — must
-// agree on totals (deterministic metric) and stay within a generous
-// wall-clock factor of each other (ISSUE: "throughput per shard within a
-// factor of the thread-per-instance mode at W = 8").
+// PKG-L) run closed-loop twice — one shard per instance vs shards=4 —
+// must agree on totals (deterministic metric) and stay within a generous
+// wall-clock factor of each other (throughput with 4 shards within a
+// factor of one shard per instance at W = 8).
 
 #include <algorithm>
 #include <chrono>
@@ -366,8 +366,8 @@ int main(int argc, char** argv) {
   }
   report.AddTable(std::move(table));
 
-  // Multi-stage throughput: the same wordcount pipeline, thread-per-instance
-  // vs sharded. Totals are interleaving-independent (deterministic metric);
+  // Multi-stage throughput: the same wordcount pipeline, one shard per
+  // instance vs 4 shards. Totals are interleaving-independent (deterministic metric);
   // rates are wall-clock (host metrics, compared only as ratios).
   const uint64_t wc_messages = args.quick ? 40000 : 100000;
   WordCountResult per_instance =
@@ -386,7 +386,7 @@ int main(int argc, char** argv) {
   report.AddHostMetric("throughput/sharded_vs_per_instance", ratio);
   std::printf(
       "\nwordcount 2 spouts -> 8 counters -> 1 aggregator, %llu msgs:\n"
-      "  thread-per-instance %.2fM msg/s, 4 shards %.2fM msg/s "
+      "  one shard per instance %.2fM msg/s, 4 shards %.2fM msg/s "
       "(ratio %.2fx)\n",
       static_cast<unsigned long long>(2 * wc_messages),
       per_instance.msgs_per_sec / 1e6, sharded.msgs_per_sec / 1e6, ratio);

@@ -6,45 +6,27 @@
 // Enough", Nasir et al. 2015) — is that each source routes independently
 // from purely local state, so the routing hot path should scale linearly
 // with sources. This bench measures exactly that, end to end (inject ->
-// partition -> queue -> drain), for two implementations of the hot path:
+// partition -> queue -> drain) through ThreadedRuntime: a partitioner
+// replica per source (no lock), one bounded lock-free SPSC ring per
+// producer->consumer pair with batched pops, and sources feeding through
+// InjectBatch (one lock take + one fused RouteBatch per 256-message chunk,
+// filling the per-edge emit out-buffers directly).
 //
-//   mutex      the pre-PR design, recreated here verbatim: one partitioner
-//              per edge shared by all sources behind a std::mutex, plus a
-//              mutex+condvar MPMC inbox per consumer;
-//   lock-free  ThreadedRuntime as built today: a partitioner replica per
-//              source (no lock), one bounded lock-free SPSC ring per
-//              producer->consumer pair with batched pops, and sources
-//              feeding through InjectBatch (one lock take + one fused
-//              RouteBatch per 256-message chunk, filling the per-edge
-//              emit out-buffers directly).
-//
-// Keeping the old design alive inside the bench means the speedup is
-// *measured on this host at run time*, not asserted from a recorded
-// number. --json=PATH writes the structured report (bench/report.h):
-// wall-clock msgs/sec land in host_metrics (host-dependent, never
-// baseline-compared), routed message counts in metrics (deterministic,
-// diffed against bench/baselines/bench_threaded_scaling.json by
-// tools/bench_check). --check exits non-zero unless the lock-free path is
-// >= 2x the mutex path at parallelism >= 8. Run --check at the default
-// scale or larger: --quick runs are tens of milliseconds per cell, short
-// enough for scheduler noise to swamp the ratio.
+// --json=PATH writes the structured report (bench/report.h): wall-clock
+// msgs/sec land in host_metrics (host-dependent, never baseline-compared),
+// routed message counts in metrics (deterministic, diffed against
+// bench/baselines/bench_threaded_scaling.json by tools/bench_check).
 //
 // Sweep: parallelism P in {1,2,4,8,16} (P sources x P workers) x
 // technique in {KG, SG, PKG-L}. Override with --parallelisms=1,8,1000.
 // Large-P knobs (all default-off, so the committed baseline is unchanged):
 //   --parallelisms=CSV        replace the sweep (e.g. a single 1000 cell);
-//   --shards=N                run the lock-free side on N shard threads
-//                             instead of one thread per instance;
+//   --shards=N                run the P sink instances on N shard threads
+//                             instead of one shard per instance;
 //   --injectors=N             cap injector threads (sources are split into
 //                             N contiguous slices, one thread per slice —
 //                             per-source injection order is unchanged, so
 //                             routed counts stay deterministic);
-//   --legacy_max_parallelism  skip the mutex pipeline above this P (its
-//                             one-thread-per-worker + condvar design is
-//                             the very thing that cannot scale; without
-//                             the cap a P=1000 cell would try to build
-//                             1000 legacy consumer threads). Default 64,
-//                             comfortably above every default sweep.
 //   --queue_capacity=N        per producer->consumer ring slots (default
 //                             1024, the historical value). The all-to-all
 //                             P sources x P workers topology allocates
@@ -53,14 +35,10 @@
 //                             alone — pass e.g. 16 at large P.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,127 +58,8 @@ Key BenchKey(uint32_t s, uint64_t i, uint64_t seed) {
   return Fmix64(seed ^ (static_cast<uint64_t>(s) << 48) ^ i) % 4096;
 }
 
-// ---------------------------------------------------------------------------
-// The pre-PR hot path, recreated: shared partitioner behind a per-edge
-// mutex, mutex+condvar MPMC inboxes, per-item pops. Only the machinery on
-// the message path is modelled (operators reduced to a checksum), so both
-// runtimes do identical per-message "work" and the comparison isolates
-// partitioning + queueing.
-// ---------------------------------------------------------------------------
-
-class LegacyMutexPipeline {
- public:
-  LegacyMutexPipeline(const partition::PartitionerConfig& config,
-                      uint32_t sources, uint32_t workers,
-                      size_t queue_capacity)
-      : sources_(sources), queue_capacity_(queue_capacity) {
-    auto p = partition::MakePartitioner(config);
-    PKGSTREAM_CHECK_OK(p.status());
-    partitioner_ = std::move(*p);
-    inboxes_.reserve(workers);
-    processed_ = std::vector<std::atomic<uint64_t>>(workers);
-    sums_ = std::vector<std::atomic<uint64_t>>(workers);
-    for (uint32_t w = 0; w < workers; ++w) {
-      inboxes_.push_back(std::make_unique<Inbox>());
-      processed_[w].store(0, std::memory_order_relaxed);
-      sums_[w].store(0, std::memory_order_relaxed);
-    }
-    for (uint32_t w = 0; w < workers; ++w) {
-      threads_.emplace_back([this, w] { RunConsumer(w); });
-    }
-  }
-
-  ~LegacyMutexPipeline() { Finish(); }
-
-  void Inject(SourceId source, Key key) {
-    WorkerId w;
-    {
-      std::lock_guard<std::mutex> lock(edge_mutex_);
-      w = partitioner_->Route(source, key);
-    }
-    inboxes_[w]->Push(Item{key, false}, queue_capacity_);
-  }
-
-  void Finish() {
-    if (finished_) return;
-    finished_ = true;
-    for (uint32_t s = 0; s < sources_; ++s) {
-      for (auto& inbox : inboxes_) {
-        inbox->Push(Item{0, true}, queue_capacity_);
-      }
-    }
-    for (auto& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-  }
-
-  uint64_t TotalProcessed() const {
-    uint64_t total = 0;
-    for (const auto& c : processed_) {
-      total += c.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  struct Item {
-    Key key = 0;
-    bool eos = false;
-  };
-
-  class Inbox {
-   public:
-    void Push(Item item, size_t capacity) {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock, [&] { return items_.size() < capacity; });
-      items_.push_back(item);
-      not_empty_.notify_one();
-    }
-
-    Item Pop() {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [&] { return !items_.empty(); });
-      Item item = items_.front();
-      items_.pop_front();
-      not_full_.notify_one();
-      return item;
-    }
-
-   private:
-    std::mutex mu_;
-    std::condition_variable not_empty_;
-    std::condition_variable not_full_;
-    std::deque<Item> items_;
-  };
-
-  void RunConsumer(uint32_t w) {
-    uint32_t eos_seen = 0;
-    uint64_t sum = 0;
-    while (eos_seen < sources_) {
-      Item item = inboxes_[w]->Pop();
-      if (item.eos) {
-        ++eos_seen;
-        continue;
-      }
-      processed_[w].fetch_add(1, std::memory_order_relaxed);
-      sum += item.key;
-    }
-    sums_[w].store(sum, std::memory_order_relaxed);
-  }
-
-  uint32_t sources_;
-  size_t queue_capacity_;
-  partition::PartitionerPtr partitioner_;
-  std::mutex edge_mutex_;
-  std::vector<std::unique_ptr<Inbox>> inboxes_;
-  std::vector<std::atomic<uint64_t>> processed_;
-  std::vector<std::atomic<uint64_t>> sums_;
-  std::vector<std::thread> threads_;
-  bool finished_ = false;
-};
-
-/// Checksum sink for the ThreadedRuntime side: the same per-message work
-/// the legacy consumers do.
+/// Checksum sink: trivial per-message work, so the sweep isolates
+/// partitioning + queueing.
 class ChecksumSink final : public engine::Operator {
  public:
   void Process(const engine::Message& msg, engine::Emitter*) override {
@@ -233,43 +92,9 @@ std::vector<uint32_t> InjectorBounds(uint32_t parallelism,
   return bounds;
 }
 
-RunResult RunLegacy(partition::Technique technique, uint32_t parallelism,
-                    uint64_t messages, uint64_t seed, uint32_t injector_cap,
-                    size_t queue_capacity) {
-  partition::PartitionerConfig config;
-  config.technique = technique;
-  config.sources = parallelism;
-  config.workers = parallelism;
-  config.seed = seed;
-  LegacyMutexPipeline pipeline(config, parallelism, parallelism,
-                               queue_capacity);
-  const uint64_t per_source = messages / parallelism;
-  const std::vector<uint32_t> bounds =
-      InjectorBounds(parallelism, injector_cap);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> injectors;
-  for (size_t t = 0; t + 1 < bounds.size(); ++t) {
-    injectors.emplace_back([&, t] {
-      for (uint32_t s = bounds[t]; s < bounds[t + 1]; ++s) {
-        for (uint64_t i = 0; i < per_source; ++i) {
-          pipeline.Inject(s, BenchKey(s, i, seed));
-        }
-      }
-    });
-  }
-  for (auto& t : injectors) t.join();
-  pipeline.Finish();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  RunResult r;
-  r.processed = pipeline.TotalProcessed();
-  r.msgs_per_sec = static_cast<double>(r.processed) / elapsed.count();
-  return r;
-}
-
-RunResult RunLockFree(partition::Technique technique, uint32_t parallelism,
-                      uint64_t messages, uint64_t seed, size_t shards,
-                      uint32_t injector_cap, size_t queue_capacity) {
+RunResult RunCell(partition::Technique technique, uint32_t parallelism,
+                  uint64_t messages, uint64_t seed, size_t shards,
+                  uint32_t injector_cap, size_t queue_capacity) {
   engine::Topology topology;
   engine::NodeId spout = topology.AddSpout("src", parallelism);
   engine::NodeId sink = topology.AddOperator(
@@ -314,24 +139,9 @@ RunResult RunLockFree(partition::Technique technique, uint32_t parallelism,
   return r;
 }
 
-struct Row {
-  uint32_t parallelism;
-  std::string technique;
-  double mutex_mps;
-  double lockfree_mps;
-  double speedup;
-  bool has_legacy;  // false above --legacy_max_parallelism: no speedup cell
-};
-
 std::string FormatMps(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2fM", v / 1e6);
-  return buf;
-}
-
-std::string FormatSpeedup(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2fx", v);
   return buf;
 }
 
@@ -347,7 +157,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
-  const bool check = flags.GetBool("check", false);
   bench::PrintBanner(
       "ThreadedRuntime scaling: lock-free inboxes + per-source replicas",
       "ROADMAP 'threaded-runtime scaling'; Nasir et al. 2015 follow-up "
@@ -384,12 +193,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("shards", 0));
   const uint32_t injector_cap =
       static_cast<uint32_t>(flags.GetInt("injectors", 0));
-  // The legacy pipeline builds one consumer thread per worker plus a
-  // condvar per inbox — the design under indictment. Past this cap it is
-  // skipped (mutex column "-") instead of silently capping the sweep or
-  // exhausting threads at P=1000.
-  const uint32_t legacy_max_parallelism = static_cast<uint32_t>(
-      flags.GetInt("legacy_max_parallelism", 64));
   const size_t queue_capacity =
       static_cast<size_t>(flags.GetInt("queue_capacity", 1024));
   const std::vector<std::pair<partition::Technique, std::string>> techniques =
@@ -405,69 +208,22 @@ int main(int argc, char** argv) {
   // per-cell "processed" drift.
   report.AddMetric("messages_per_config", static_cast<double>(messages));
 
-  Table table({"P (SxW)", "technique", "mutex msg/s", "lock-free msg/s",
-               "speedup"});
-  std::vector<Row> rows;
+  Table table({"P (SxW)", "technique", "msg/s"});
   for (uint32_t p : parallelisms) {
     for (const auto& [technique, name] : techniques) {
-      const bool run_legacy = p <= legacy_max_parallelism;
-      RunResult mutex_result;
-      if (run_legacy) {
-        mutex_result = RunLegacy(technique, p, messages, args.seed,
-                                 injector_cap, queue_capacity);
-      }
-      RunResult lockfree_result =
-          RunLockFree(technique, p, messages, args.seed, shards,
-                      injector_cap, queue_capacity);
-      if (run_legacy) {
-        PKGSTREAM_CHECK(mutex_result.processed == lockfree_result.processed)
-            << "runtimes routed different message counts";
-      }
-      Row row;
-      row.parallelism = p;
-      row.technique = name;
-      row.mutex_mps = mutex_result.msgs_per_sec;
-      row.lockfree_mps = lockfree_result.msgs_per_sec;
-      row.speedup = run_legacy
-                        ? lockfree_result.msgs_per_sec /
-                              mutex_result.msgs_per_sec
-                        : 0.0;
-      row.has_legacy = run_legacy;
-      rows.push_back(row);
+      const RunResult result = RunCell(technique, p, messages, args.seed,
+                                       shards, injector_cap, queue_capacity);
       const std::string prefix =
           "P=" + std::to_string(p) + "/" + name + "/";
-      // Routed message counts are deterministic (both runtimes must route
-      // every injected message); wall-clock rates are host-dependent.
+      // Routed message counts are deterministic (every injected message
+      // must be routed); wall-clock rates are host-dependent.
       report.AddMetric(prefix + "processed",
-                       static_cast<double>(lockfree_result.processed));
-      if (run_legacy) {
-        report.AddHostMetric(prefix + "mutex_msgs_per_sec", row.mutex_mps);
-      }
+                       static_cast<double>(result.processed));
       report.AddHostMetric(prefix + "lockfree_msgs_per_sec",
-                           row.lockfree_mps);
-      if (run_legacy) {
-        report.AddHostMetric(prefix + "speedup", row.speedup);
-      }
-      table.AddRow({std::to_string(p), name,
-                    run_legacy ? FormatMps(row.mutex_mps) : "-",
-                    FormatMps(row.lockfree_mps),
-                    run_legacy ? FormatSpeedup(row.speedup) : "-"});
+                           result.msgs_per_sec);
+      table.AddRow({std::to_string(p), name, FormatMps(result.msgs_per_sec)});
     }
   }
   report.AddTable(std::move(table));
-  const int finish_code = bench::Finish(report, args);
-
-  if (check) {
-    bool ok = true;
-    for (const Row& r : rows) {
-      if (r.has_legacy && r.parallelism >= 8 && r.speedup < 2.0) {
-        std::cerr << "CHECK FAILED: P=" << r.parallelism << " "
-                  << r.technique << " speedup " << r.speedup << " < 2.0\n";
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-    std::cout << "CHECK OK: lock-free >= 2x mutex at parallelism >= 8\n";
-  }
-  return finish_code;
+  return bench::Finish(report, args);
 }

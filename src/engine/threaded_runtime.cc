@@ -13,7 +13,7 @@ namespace pkgstream {
 namespace engine {
 
 /// Emitter bound to one instance: routes synchronously on the caller
-/// (executor) thread. Blocking on a full downstream ring provides
+/// (shard) thread. Blocking on a full downstream ring provides
 /// backpressure; DAG structure guarantees no cyclic wait.
 class ThreadedRuntime::InstanceEmitter final : public Emitter {
  public:
@@ -135,13 +135,11 @@ Status ThreadedRuntime::Init() {
     edge_producer_base_[e] = upstream_counts_[edges[e].to.index];
     upstream_counts_[edges[e].to.index] += upstream;
     out_edges_[edges[e].from.index].push_back(e);
-    if (options_.emit_batch > 1) {
-      const uint32_t downstream = nodes[edges[e].to.index].parallelism;
-      out_buffers_[e] =
-          std::vector<OutBuffer>(static_cast<size_t>(upstream) * downstream);
-      for (OutBuffer& buf : out_buffers_[e]) {
-        buf.items = std::make_unique<Item[]>(options_.emit_batch);
-      }
+    const uint32_t downstream = nodes[edges[e].to.index].parallelism;
+    out_buffers_[e] =
+        std::vector<OutBuffer>(static_cast<size_t>(upstream) * downstream);
+    for (OutBuffer& buf : out_buffers_[e]) {
+      buf.items = std::make_unique<Item[]>(options_.emit_batch);
     }
   }
 
@@ -160,23 +158,20 @@ Status ThreadedRuntime::Init() {
   // Shard plan: contiguous slices of the node-major operator-instance
   // list (instance g of T goes to shard g*S/T — balanced within one, and
   // same-stage instances pack together because the list is node-major).
-  // Built before the mailboxes so each mailbox can point at its
-  // consumer's gate: the owning shard's in sharded mode, its own in
-  // thread-per-instance mode.
   size_t op_instances = 0;
   for (uint32_t n = 0; n < nodes.size(); ++n) {
     if (!nodes[n].is_spout) op_instances += nodes[n].parallelism;
   }
-  const size_t shard_count =
-      options_.shards == 0 ? 0 : std::min(options_.shards, op_instances);
+  const size_t shard_count = options_.shards == 0
+                                 ? op_instances
+                                 : std::min(options_.shards, op_instances);
   for (size_t s = 0; s < shard_count; ++s) {
     shards_.push_back(std::make_unique<ShardState>());
     shards_[s]->runtime = this;
     shards_[s]->index = static_cast<uint32_t>(s);
   }
-  instance_gates_.resize(shard_count == 0 ? total_instances : 0);
 
-  size_t next_op_instance = 0;  // node-major index into the shard plan
+  size_t g = 0;  // node-major index into the shard plan
   for (uint32_t n = 0; n < nodes.size(); ++n) {
     if (nodes[n].is_spout) {
       for (uint32_t i = 0; i < nodes[n].parallelism; ++i) {
@@ -184,7 +179,7 @@ Status ThreadedRuntime::Init() {
       }
       continue;
     }
-    for (uint32_t i = 0; i < nodes[n].parallelism; ++i) {
+    for (uint32_t i = 0; i < nodes[n].parallelism; ++i, ++g) {
       auto op = nodes[n].factory(i);
       PKGSTREAM_CHECK(op != nullptr);
       OperatorContext ctx;
@@ -192,63 +187,32 @@ Status ThreadedRuntime::Init() {
       ctx.instance = i;
       ctx.parallelism = nodes[n].parallelism;
       op->Open(ctx);
+      ShardState& st = *shards_[g * shard_count / op_instances];
+      auto mailbox = std::make_unique<Mailbox>(
+          upstream_counts_[n], options_.queue_capacity, &st.gate);
+      ShardInstance si;
+      si.node = n;
+      si.instance = i;
+      si.expected_eos = upstream_counts_[n];
+      si.op = op.get();
+      si.mailbox = mailbox.get();
+      si.processed = &processed_[processed_base_[n] + i].value;
+      si.emitter = std::make_unique<InstanceEmitter>(this, n, i);
+      st.instances.push_back(std::move(si));
+      ++st.remaining;
       ops_[n].push_back(std::move(op));
-      ConsumerGate* gate;
-      if (shard_count > 0) {
-        gate = &shards_[next_op_instance * shard_count / op_instances]->gate;
-      } else {
-        auto& slot = instance_gates_[processed_base_[n] + i];
-        slot = std::make_unique<ConsumerGate>();
-        gate = slot.get();
-      }
-      mailboxes_[n].push_back(std::make_unique<Mailbox>(
-          upstream_counts_[n], options_.queue_capacity, gate));
-      ++next_op_instance;
-    }
-  }
-
-  // Shard slices, same node-major order as the gate assignment above;
-  // every pointer a ShardInstance captures is in its final place now.
-  if (shard_count > 0) {
-    size_t g = 0;
-    for (uint32_t n = 0; n < nodes.size(); ++n) {
-      if (nodes[n].is_spout) continue;
-      for (uint32_t i = 0; i < nodes[n].parallelism; ++i, ++g) {
-        ShardState& st = *shards_[g * shard_count / op_instances];
-        ShardInstance si;
-        si.node = n;
-        si.instance = i;
-        si.expected_eos = upstream_counts_[n];
-        si.op = ops_[n][i].get();
-        si.mailbox = mailboxes_[n][i].get();
-        si.processed = &processed_[processed_base_[n] + i].value;
-        si.emitter = std::make_unique<InstanceEmitter>(this, n, i);
-        st.instances.push_back(std::move(si));
-        ++st.remaining;
-      }
+      mailboxes_[n].push_back(std::move(mailbox));
     }
   }
 
   // Threads last: everything they touch is in place. Each thread counts
   // itself out on exit so the finish-deadline poll can tell a slow drain
   // from a wedged one.
-  if (shard_count > 0) {
-    for (uint32_t s = 0; s < shard_count; ++s) {
-      threads_.emplace_back([this, s] {
-        RunShard(s);
-        threads_exited_.fetch_add(1, std::memory_order_release);
-      });
-    }
-  } else {
-    for (uint32_t n = 0; n < nodes.size(); ++n) {
-      if (nodes[n].is_spout) continue;
-      for (uint32_t i = 0; i < nodes[n].parallelism; ++i) {
-        threads_.emplace_back([this, n, i] {
-          RunInstance(n, i);
-          threads_exited_.fetch_add(1, std::memory_order_release);
-        });
-      }
-    }
+  for (uint32_t s = 0; s < shard_count; ++s) {
+    threads_.emplace_back([this, s] {
+      RunShard(s);
+      threads_exited_.fetch_add(1, std::memory_order_release);
+    });
   }
   started_ = true;
   return Status::OK();
@@ -256,50 +220,16 @@ Status ThreadedRuntime::Init() {
 
 ThreadedRuntime::~ThreadedRuntime() { Finish(); }
 
-void ThreadedRuntime::RunInstance(uint32_t node, uint32_t instance) {
-  const uint32_t expected_eos = UpstreamInstances(node);
-  uint32_t eos_seen = 0;
-  InstanceEmitter emitter(this, node, instance);
-  Mailbox& mailbox = *mailboxes_[node][instance];
-  Operator* op = ops_[node][instance].get();
-  std::atomic<uint64_t>& processed =
-      processed_[processed_base_[node] + instance].value;
-  Item batch[kPopBatch];
-  while (eos_seen < expected_eos) {
-    const size_t n = mailbox.PopBatch(batch, kPopBatch, aborted_);
-    if (n == 0) {
-      // Abort while every ring was empty: exit without Close/EOS — an
-      // aborted run's downstream consumers may already be gone.
-      return;
-    }
-    uint64_t handled = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (batch[i].eos) {
-        ++eos_seen;
-        continue;
-      }
-      ++handled;
-      op->Process(batch[i].msg, &emitter);
-    }
-    if (handled > 0) processed.fetch_add(handled, std::memory_order_relaxed);
-    // Publish whatever this round emitted: bounded staleness (a consumer
-    // never idles on messages parked here across a blocking PopBatch).
-    FlushOutBuffers(node, instance);
-  }
-  op->Close(&emitter);
-  FlushOutBuffers(node, instance);
-  SendEos(node, instance);
-}
-
 bool ThreadedRuntime::DrainInstanceOnce(ShardState& st, ShardInstance& si) {
   if (si.done || si.active) return false;
   Item batch[kPopBatch];
   const size_t n = si.mailbox->TryPopBatch(batch, kPopBatch);
   if (n == 0 && si.eos_seen < si.expected_eos) return false;
-  // Mirrors one RunInstance round exactly: Process the batch, bump the
-  // per-instance counter once, flush this instance's out-buffers. `active`
-  // spans the whole round because Process may block pushing downstream and
-  // re-enter the shard loop through ShardHelpDrain.
+  // One round: Process the batch, bump the per-instance counter once,
+  // flush this instance's out-buffers (so a consumer never idles on
+  // messages parked here). `active` spans the whole round because Process
+  // may block pushing downstream and re-enter the shard loop through
+  // ShardHelpDrain.
   si.active = true;
   uint64_t handled = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -316,7 +246,7 @@ bool ThreadedRuntime::DrainInstanceOnce(ShardState& st, ShardInstance& si) {
   FlushOutBuffers(si.node, si.instance);
   if (si.eos_seen >= si.expected_eos) {
     // Last upstream EOS: every producer ring is fully drained (EOS is the
-    // final item of its ring), so close exactly as RunInstance would.
+    // final item of its ring), so close and forward EOS.
     si.op->Close(si.emitter.get());
     FlushOutBuffers(si.node, si.instance);
     SendEos(si.node, si.instance);
@@ -351,7 +281,7 @@ void ThreadedRuntime::RunShard(uint32_t shard) {
   while (st.remaining > 0 &&
          !aborted_.load(std::memory_order_acquire)) {
     // Rotate the sweep start so no owned instance is systematically
-    // drained last (the instance-thread analogue is the mailbox cursor).
+    // drained last.
     const size_t n = st.instances.size();
     st.cursor = (st.cursor + 1) % n;
     bool progress = false;
@@ -370,8 +300,7 @@ void ThreadedRuntime::RunShard(uint32_t shard) {
     } else {
       // Shard-granularity park: producers into any owned mailbox wake
       // this gate. Re-check after BeginPark (SizeApprox suffices — a
-      // missed publication costs one bounded 200us wait, same contract as
-      // the instance-thread park).
+      // missed publication costs one bounded 200us wait).
       st.gate.BeginPark();
       bool pending = false;
       for (const ShardInstance& si : st.instances) {
@@ -408,7 +337,7 @@ void ThreadedRuntime::PushBlocking(uint32_t from_node, Mailbox& mailbox,
     // Full ring. A shard thread makes its own progress instead of pure
     // waiting: drain owned instances strictly downstream of the blocked
     // producer (they may be exactly what the full ring is waiting on).
-    // Instance threads and injectors keep the plain backoff.
+    // Injectors keep the plain backoff.
     if (shard != nullptr && ShardHelpDrain(*shard, topo_rank_[from_node])) {
       backoff.Reset();
       continue;
@@ -484,22 +413,14 @@ void ThreadedRuntime::RouteBatchFrom(uint32_t node, uint32_t instance,
 
 void ThreadedRuntime::EnqueueRouted(uint32_t edge, uint32_t instance,
                                     WorkerId worker, Item item) {
-  const auto& edges = topology_->edges();
-  if (options_.emit_batch > 1) {
-    const uint32_t downstream_parallelism =
-        topology_->nodes()[edges[edge].to.index].parallelism;
-    OutBuffer& buf =
-        out_buffers_[edge][static_cast<size_t>(instance) *
-                               downstream_parallelism +
-                           worker];
-    buf.items[buf.count++] = std::move(item);
-    if (buf.count == options_.emit_batch) FlushBuffer(edge, instance, worker);
-  } else {
-    Item one[1] = {std::move(item)};
-    PushBlocking(edges[edge].from.index,
-                 *mailboxes_[edges[edge].to.index][worker],
-                 edge_producer_base_[edge] + instance, one, 1);
-  }
+  const uint32_t downstream_parallelism =
+      topology_->nodes()[topology_->edges()[edge].to.index].parallelism;
+  OutBuffer& buf =
+      out_buffers_[edge][static_cast<size_t>(instance) *
+                             downstream_parallelism +
+                         worker];
+  buf.items[buf.count++] = std::move(item);
+  if (buf.count == options_.emit_batch) FlushBuffer(edge, instance, worker);
 }
 
 void ThreadedRuntime::FlushBuffer(uint32_t edge, uint32_t instance,
@@ -520,7 +441,6 @@ void ThreadedRuntime::FlushBuffer(uint32_t edge, uint32_t instance,
 }
 
 void ThreadedRuntime::FlushOutBuffers(uint32_t node, uint32_t instance) {
-  if (options_.emit_batch <= 1) return;
   for (uint32_t e : out_edges_[node]) {
     const uint32_t downstream_parallelism =
         topology_->nodes()[topology_->edges()[e].to.index].parallelism;
@@ -638,11 +558,8 @@ Status ThreadedRuntime::ReconfigureWorkers(NodeId downstream,
 void ThreadedRuntime::Abort() {
   aborted_.store(true, std::memory_order_release);
   if (!started_) return;
-  // Nudge every parked consumer; unparked ones observe the flag in their
-  // spin loops, parked ones at worst on the 200us bounded wait.
-  for (const auto& gate : instance_gates_) {
-    if (gate != nullptr) gate->MaybeWake();
-  }
+  // Nudge every parked shard; unparked ones observe the flag at their
+  // next sweep, parked ones at worst on the 200us bounded wait.
   for (const auto& shard : shards_) shard->gate.MaybeWake();
 }
 

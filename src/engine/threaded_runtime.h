@@ -1,23 +1,31 @@
 // Copyright 2026 The pkgstream Authors.
 // ThreadedRuntime: the same operator API as LogicalRuntime, executed on
-// real threads — one executor thread per operator instance with bounded
-// inboxes, exactly Storm's executor model in-process. The deterministic
-// LogicalRuntime defines the reference semantics; this runtime exists to
-// demonstrate (and test) that the library's results do not depend on the
-// single-threaded scheduler: per-key totals, flushed aggregates and
-// routing invariants must come out identical under true concurrency.
+// real threads with bounded inboxes — Storm's executor model in-process.
+// The deterministic LogicalRuntime defines the reference semantics; this
+// runtime exists to demonstrate (and test) that the library's results do
+// not depend on the single-threaded scheduler: per-key totals, flushed
+// aggregates and routing invariants must come out identical under true
+// concurrency.
+//
+// Executor model: the N operator instances run on M shard threads
+// (ThreadedRuntimeOptions::shards; the default gives every instance a
+// shard of its own). Each shard owns a contiguous, topology-ordered slice
+// of the instance list (same-stage instances pack together), drains its
+// instances' rings round-robin in batches, and parks on a shard-wide gate
+// when every owned ring stayed empty through a bounded spin. The shard
+// count changes the thread count and scheduling, never the results.
 //
 // Concurrency model (the paper's distributed deployment, at memory speed):
-//  * every operator instance runs on its own thread and drains a Mailbox:
-//    one bounded lock-free SPSC ring per upstream producer (see
-//    spsc_ring.h), popped in batches to amortize synchronization. A full
-//    ring blocks its producer (backpressure); DAG structure guarantees the
-//    consumer is draining, so no cyclic wait;
+//  * every operator instance drains a Mailbox: one bounded lock-free SPSC
+//    ring per upstream producer (see spsc_ring.h), popped in batches to
+//    amortize synchronization. A full ring blocks its producer
+//    (backpressure);
 //  * the producer side batches too: each upstream instance parks routed
 //    messages in a per-(edge, destination) out-buffer and publishes them
 //    with one SpscRing::TryPushBatch when the batch fills, when its input
 //    round ends, or at EOS/Finish (ThreadedRuntimeOptions::emit_batch) —
-//    one ring-index publication and at most one wakeup per batch;
+//    one ring-index publication and at most one wakeup per batch.
+//    Producers wake the consumer's *shard*, not an instance;
 //  * every upstream *instance* owns its own partitioner replica
 //    (Partitioner::Clone via MakePartitionerReplicas), so routing takes no
 //    lock and PKG/local-estimator state is genuinely per-source — the
@@ -31,23 +39,16 @@
 //    16 executors incrementing them share no lines;
 //  * shutdown is EOS-based: Finish() sends one EOS token per upstream
 //    instance down every edge; an instance Close()s after its last
-//    upstream EOS arrives, forwards EOS, and its thread exits. This is
-//    the classic dataflow termination protocol, deadlock-free on DAGs.
+//    upstream EOS arrives and forwards EOS, and a shard thread exits once
+//    all its instances have closed. This is the classic dataflow
+//    termination protocol, deadlock-free on DAGs.
 //
-// Sharded execution (ThreadedRuntimeOptions::shards > 0): instead of one
-// thread per operator instance, all N instances are multiplexed onto M
-// shard threads. Each shard owns a contiguous, topology-ordered slice of
-// the instance list (same-stage instances pack together), drains its
-// instances' rings round-robin in batches, and parks on a shard-wide gate
-// when every owned ring stayed empty through a bounded spin — producers
-// wake the *shard*, not an instance, so there is still at most one wakeup
-// per published batch. Everything that determines results stays
-// per-instance exactly as in thread-per-instance mode: partitioner
+// Everything that determines results is per-instance: partitioner
 // replicas, per-(edge, destination) out-buffers, processed_ cells, and
 // per-ring FIFO order. Routing decisions are made producer-side, so
-// routed counts are byte-identical across modes, and with a single
-// source the per-sink arrival order (hence any order-sensitive sink
-// state, e.g. LatencySink histograms) is too — pinned by
+// routed counts are byte-identical for every shard count, and with a
+// single source the per-sink arrival order (hence any order-sensitive
+// sink state, e.g. LatencySink histograms) is too — pinned by
 // engine_threaded_sharded_test. When a shard blocks pushing into a full
 // ring of another busy instance, it help-drains its own instances at
 // strictly greater topological rank; the strictly-increasing rank makes
@@ -88,25 +89,26 @@ struct ThreadedRuntimeOptions {
   /// Producer-side emit batching: each upstream instance buffers up to this
   /// many routed messages per (edge, destination) and publishes them with
   /// one SpscRing::TryPushBatch — one index publication (and at most one
-  /// consumer wakeup) per batch instead of per message. 1 disables
-  /// batching. Buffers are flushed when full, after every consumed input
-  /// batch (operators), and at Finish (spouts), so totals are unaffected;
-  /// only the *moment* a message becomes visible downstream shifts — in
-  /// particular, messages injected at a spout may sit in its out-buffer
-  /// until the batch fills or Finish() runs. Must be >= 1.
+  /// consumer wakeup) per batch instead of per message; 1 publishes every
+  /// message as it is routed. Buffers are flushed when full, after every
+  /// consumed input batch (operators), and at Finish (spouts), so totals
+  /// are unaffected; only the *moment* a message becomes visible
+  /// downstream shifts — in particular, messages injected at a spout may
+  /// sit in its out-buffer until the batch fills or Finish() runs. Must
+  /// be >= 1.
   size_t emit_batch = 16;
 
-  /// 0 = thread-per-instance (the default, unchanged). > 0 = sharded
-  /// execution: all operator instances run on min(shards, instance count)
-  /// shard threads, each owning a contiguous topology-ordered slice (see
-  /// the file comment). Results — routed counts, per-instance state,
-  /// single-source arrival orders — are identical across modes; only the
-  /// thread count and scheduling change.
+  /// Shard threads running the operator instances: 0 (the default) = one
+  /// shard per operator instance; > 0 = min(shards, instance count)
+  /// shards, each owning a contiguous topology-ordered slice (see the file
+  /// comment). Results — routed counts, per-instance state, single-source
+  /// arrival orders — are identical for every value; only the thread count
+  /// and scheduling change.
   size_t shards = 0;
 
-  /// Sharded mode only: pin shard thread k to the k-th allowed CPU
-  /// (modulo the CPU count) via CpuAffinity. Best-effort — silently a
-  /// no-op on platforms without thread affinity. Ignored when shards == 0.
+  /// Pin shard thread k to the k-th allowed CPU (modulo the CPU count) via
+  /// CpuAffinity. Best-effort — silently a no-op on platforms without
+  /// thread affinity.
   bool pin_shards = false;
 
   /// 0 = Finish() waits forever (the default, unchanged). > 0 = Finish()
@@ -121,8 +123,8 @@ struct ThreadedRuntimeOptions {
 /// \brief Multi-threaded executor for a Topology (no ticks; see above).
 class ThreadedRuntime {
  public:
-  /// Instantiates operators, per-source partitioner replicas and threads;
-  /// threads start immediately and idle on their mailboxes.
+  /// Instantiates operators, per-source partitioner replicas and shard
+  /// threads; the shards start immediately and idle on their gates.
   static Result<std::unique_ptr<ThreadedRuntime>> Create(
       const Topology* topology, ThreadedRuntimeOptions options = {});
 
@@ -146,9 +148,10 @@ class ThreadedRuntime {
   void InjectBatch(NodeId spout, SourceId source, const Message* msgs,
                    size_t n);
 
-  /// Sends EOS down every spout edge, waits for all instance threads to
-  /// drain, Close() and exit. Idempotent and safe to call concurrently:
-  /// every caller returns only after shutdown has completed.
+  /// Sends EOS down every spout edge, waits for every instance to drain
+  /// and Close() and for the shard threads to exit. Idempotent and safe
+  /// to call concurrently: every caller returns only after shutdown has
+  /// completed.
   void Finish();
 
   /// Live worker-set reconfiguration (the fault-injection control path):
@@ -163,12 +166,14 @@ class ThreadedRuntime {
   /// (Unimplemented; e.g. plain hashing cannot drop a worker).
   Status ReconfigureWorkers(NodeId downstream, const std::vector<bool>& alive);
 
-  /// Aborts the run: consumers stop draining once their rings are empty
-  /// (skipping Close/EOS), producers blocked on a full ring drop their
-  /// items and return, and Finish() still joins cleanly. For tests and
-  /// drivers that must tear down a wedged or no-longer-interesting run;
-  /// after Abort, processed counts and operator state are *not* the
-  /// completed-run values.
+  /// Aborts the run: every shard thread leaves at its next sweep, without
+  /// draining what is still queued and without Close/EOS for its
+  /// unfinished instances (a shard wedged inside Process leaves once that
+  /// call returns); producers blocked on a full ring drop their items and
+  /// return, and Finish() still joins cleanly. For tests and drivers that
+  /// must tear down a wedged or no-longer-interesting run; after Abort,
+  /// processed counts and operator state are *not* the completed-run
+  /// values.
   void Abort();
 
   /// Whether Abort() was called (injector threads poll this to exit).
@@ -206,14 +211,12 @@ class ThreadedRuntime {
   static constexpr size_t kPopBatch = 64;
 
   /// Idle shard sweeps before escalating from CPU-relax to yield, and from
-  /// yield to a gate park (the shard-loop analogue of the consumer spins).
+  /// yield to a gate park.
   static constexpr uint32_t kShardRelaxSweeps = 8;
   static constexpr uint32_t kShardSpinSweeps = 32;
 
-  /// \brief Parked-consumer wakeup gate for one consumer execution
-  /// context: an instance thread (thread-per-instance mode) or a whole
-  /// shard (sharded mode — every owned mailbox shares the shard's gate,
-  /// so any producer push wakes the shard).
+  /// \brief Parked-consumer wakeup gate for one shard: every owned
+  /// mailbox shares it, so any producer push wakes the shard.
   ///
   /// Producers take the wake mutex only when the parked flag is visible,
   /// so steady-state traffic pays no lock and no syscall. The park uses a
@@ -256,9 +259,8 @@ class ThreadedRuntime {
   /// upstream producer, drained round-robin in batches.
   ///
   /// Producers push wait-free while their ring has space; blocking-on-full
-  /// policy lives in ThreadedRuntime::PushBlocking (which can help-drain
-  /// in sharded mode). The consumer gate is shared at shard granularity in
-  /// sharded mode; thread-per-instance mode gives every mailbox its own.
+  /// policy lives in ThreadedRuntime::PushBlocking (which can help-drain).
+  /// The consumer gate is the owning shard's.
   class Mailbox {
    public:
     Mailbox(uint32_t producers, size_t capacity_per_producer,
@@ -286,39 +288,14 @@ class ThreadedRuntime {
     /// Consumer side, non-blocking: pops up to `max_n` items (all from one
     /// ring, round-robin across producers) into `out`; returns the count.
     size_t TryPopBatch(Item* out, size_t max_n) {
-      return TryPopAnyRing(out, max_n);
-    }
-
-    /// Consumer side: blocks until at least one item is available, then
-    /// pops up to `max_n` items (all from one ring) into `out`. Only for
-    /// thread-per-instance mode, where the gate is exclusively this
-    /// mailbox's; shards interleave TryPopBatch across instances and park
-    /// on the shared gate themselves. Returns 0 only when `aborted` rose
-    /// while every ring was empty — the consumer must exit, not retry.
-    size_t PopBatch(Item* out, size_t max_n,
-                    const std::atomic<bool>& aborted) {
-      for (;;) {
-        for (uint32_t spin = 0; spin < kConsumerSpins; ++spin) {
-          const size_t got = TryPopAnyRing(out, max_n);
-          if (got > 0) return got;
-          if (spin < kConsumerRelaxSpins) {
-            Backoff::CpuRelax();
-          } else {
-            std::this_thread::yield();
-          }
-        }
-        // Checked while empty, before parking: an aborted run's producers
-        // may never push again, so waiting on them would hang forever.
-        if (aborted.load(std::memory_order_acquire)) return 0;
-        gate_->BeginPark();
-        const size_t got = TryPopAnyRing(out, max_n);
-        if (got > 0) {
-          gate_->EndPark();
-          return got;
-        }
-        gate_->WaitBriefly();
-        gate_->EndPark();
+      const size_t n = rings_.size();
+      for (size_t i = 0; i < n; ++i) {
+        if (cursor_ >= n) cursor_ = 0;
+        const size_t got = rings_[cursor_]->TryPopBatch(out, max_n);
+        ++cursor_;
+        if (got > 0) return got;
       }
+      return 0;
     }
 
     /// Any thread: approximate queued items across all producer rings
@@ -330,20 +307,6 @@ class ThreadedRuntime {
     }
 
    private:
-    static constexpr uint32_t kConsumerRelaxSpins = 8;
-    static constexpr uint32_t kConsumerSpins = 32;
-
-    size_t TryPopAnyRing(Item* out, size_t max_n) {
-      const size_t n = rings_.size();
-      for (size_t i = 0; i < n; ++i) {
-        if (cursor_ >= n) cursor_ = 0;
-        const size_t got = rings_[cursor_]->TryPopBatch(out, max_n);
-        ++cursor_;
-        if (got > 0) return got;
-      }
-      return 0;
-    }
-
     std::vector<std::unique_ptr<SpscRing<Item>>> rings_;
     size_t cursor_ = 0;  // consumer-local round-robin position
     ConsumerGate* gate_;
@@ -351,15 +314,15 @@ class ThreadedRuntime {
 
   class InstanceEmitter;
 
-  /// Sharded-mode state (defined in the .cc): one operator instance as
-  /// seen by its owning shard, and one shard thread's slice + gate.
+  /// Executor state (defined in the .cc): one operator instance as seen
+  /// by its owning shard, and one shard thread's slice + gate.
   struct ShardInstance;
   struct ShardState;
 
   /// \brief Producer-side out-buffer for one (edge, upstream instance,
   /// destination worker): routed messages parked here until the batch
   /// fills (or a flush point), then published with one TryPushBatch.
-  /// Owned exclusively by the producing thread (executor thread, or the
+  /// Owned exclusively by the producing thread (shard thread, or the
   /// injector serialized by the source's inject mutex).
   struct OutBuffer {
     std::unique_ptr<Item[]> items;
@@ -387,7 +350,6 @@ class ThreadedRuntime {
   /// The finish-deadline dump: every instance's approximate ring occupancy
   /// and processed count, before the fatal abort.
   void DumpStuckState();
-  void RunInstance(uint32_t node, uint32_t instance);
   /// Shard thread main loop: round-robin over the owned instances with
   /// bounded spin, then park on the shard gate.
   void RunShard(uint32_t shard);
@@ -417,8 +379,7 @@ class ThreadedRuntime {
   void RouteBatchFrom(uint32_t node, uint32_t instance, const Message* msgs,
                       size_t n);
   /// Enqueues one routed item on edge `e` towards `w`: parks it in the
-  /// (edge, instance, worker) out-buffer (flushing a full batch) or, with
-  /// batching disabled, pushes it straight to the mailbox.
+  /// (edge, instance, worker) out-buffer, flushing a full batch.
   void EnqueueRouted(uint32_t edge, uint32_t instance, WorkerId worker,
                      Item item);
   /// Publishes one (edge, instance, worker) out-buffer downstream.
@@ -451,8 +412,7 @@ class ThreadedRuntime {
   /// Outbound edge indices per node (hot-path scan avoidance).
   std::vector<std::vector<uint32_t>> out_edges_;
   /// out_buffers_[e][s * downstream_parallelism + w]: the emit batch of
-  /// upstream instance `s` of edge `e` towards worker `w`. Empty when
-  /// options_.emit_batch == 1 (batching disabled).
+  /// upstream instance `s` of edge `e` towards worker `w`.
   std::vector<std::vector<OutBuffer>> out_buffers_;
   /// Upstream instance count per node.
   std::vector<uint32_t> upstream_counts_;
@@ -464,14 +424,9 @@ class ThreadedRuntime {
   /// instance (n, i) lives at processed_[processed_base_[n] + i].
   std::vector<CacheLinePadded<std::atomic<uint64_t>>> processed_;
   std::vector<size_t> processed_base_;
-  /// Longest-path rank per node (spouts 0); only ShardHelpDrain compares
-  /// them, but they are computed in every mode (cheap, one-time).
+  /// Longest-path rank per node (spouts 0); ShardHelpDrain compares them.
   std::vector<uint32_t> topo_rank_;
-  /// Thread-per-instance mode: one gate per operator instance (indexed by
-  /// processed_base_[n] + i; spout slots stay null). Sharded mode: empty —
-  /// gates live in the ShardStates.
-  std::vector<std::unique_ptr<ConsumerGate>> instance_gates_;
-  /// Sharded mode: one state per shard thread; empty otherwise.
+  /// One state per shard thread.
   std::vector<std::unique_ptr<ShardState>> shards_;
   /// The shard state owned by the calling thread, if it is one of *some*
   /// runtime's shard threads (PushBlocking checks the runtime matches).
@@ -485,8 +440,8 @@ class ThreadedRuntime {
   /// GetOperator — operators are mutable until then).
   std::atomic<bool> finished_{false};
   std::atomic<bool> drained_{false};
-  /// Abort flag (see Abort()): consumers exit on empty rings, blocked
-  /// producers drop their items.
+  /// Abort flag (see Abort()): shard threads exit at their next sweep,
+  /// blocked producers drop their items.
   std::atomic<bool> aborted_{false};
   /// Executor threads that have returned from their main loop; the
   /// finish-deadline poll compares it against threads_.size().

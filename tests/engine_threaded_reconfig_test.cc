@@ -2,8 +2,7 @@
 // Tests for live worker reconfiguration under fault injection: FaultPlans
 // replayed through the OpenLoopDriver, the ReconfigureWorkers epoch
 // broadcast, conservation across crash+rejoin, Abort() unblocking wedged
-// injectors, and sharded-vs-thread-per-instance equivalence with faults in
-// the loop. Suite names contain "Threaded" so the CI thread-sanitizer job
+// injectors, and shard-count independence with faults in the loop. Suite names contain "Threaded" so the CI thread-sanitizer job
 // (ctest -R 'Threaded|SpscRing') races the whole reconfiguration protocol:
 // the injector thread publishing epochs while executor threads apply them
 // at batch boundaries is exactly the cross-thread edge TSan must see.
@@ -134,7 +133,7 @@ partition::PartitionerConfig TechniqueConfig(partition::Technique technique,
 }
 
 // ---------------------------------------------------------------------------
-// Conservation + outage isolation, across techniques and execution modes.
+// Conservation + outage isolation, across techniques and shard counts.
 // ---------------------------------------------------------------------------
 
 struct ConservationCase {
@@ -199,14 +198,15 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Sharded execution equivalence with faults in the loop.
+// Shard-count independence with faults in the loop.
 // ---------------------------------------------------------------------------
 
 TEST(ThreadedReconfigTest, ShardedModeMatchesThreadPerInstance) {
-  // The sharded-equivalence contract must survive reconfiguration: with a
-  // single source, routing (including the degraded paths) happens producer-
-  // side at deterministic stream positions, so per-sink arrival orders —
-  // and every histogram bucket, per phase — are identical across modes.
+  // Shard-count independence must survive reconfiguration: with a single
+  // source, routing (including the degraded paths) happens producer-side
+  // at deterministic stream positions, so per-sink arrival orders — and
+  // every histogram bucket, per phase — are identical for one shard per
+  // instance and for three shards.
   const uint32_t kWorkers = 8;
   const uint64_t kT1 = 20000, kT2 = 40000;
   FaultPlan plan = OutagePlan(kWorkers, {0, 5}, kT1, kT2);
@@ -333,22 +333,32 @@ class GatedSink final : public Operator {
   const std::atomic<bool>* release_;
 };
 
-TEST(ThreadedReconfigAbortTest, AbortUnblocksInjectorOnFullRing) {
-  // Regression test for the run-abort satellite: an injector blocked in
-  // PushBlocking on a full ring must observe Abort(), drop its items and
-  // exit cleanly with report.aborted set — and Finish() must still join.
+/// Parameter: ThreadedRuntimeOptions::shards. 0 gives each of the two
+/// sink instances its own shard; 1 packs the wedged instance beside the
+/// live one on a single shard.
+class ThreadedReconfigAbortTest : public testing::TestWithParam<size_t> {};
+
+TEST_P(ThreadedReconfigAbortTest, AbortUnblocksInjectorOnFullRing) {
+  // Regression test: an injector blocked in PushBlocking on a full ring
+  // must observe Abort(), drop its items and exit cleanly with
+  // report.aborted set — and Finish() must still join. Sink instance 0 is
+  // gated; instance 1 never blocks.
   std::atomic<bool> release{false};
+  const std::atomic<bool> open{true};
   Topology topology;
   NodeId spout = topology.AddSpout("src", 1);
   NodeId sink = topology.AddOperator(
       "sink",
-      [&release](uint32_t) { return std::make_unique<GatedSink>(&release); },
-      1);
+      [&](uint32_t i) {
+        return std::make_unique<GatedSink>(i == 0 ? &release : &open);
+      },
+      2);
   ASSERT_TRUE(topology.Connect(spout, sink, partition::Technique::kShuffle)
                   .ok());
   ThreadedRuntimeOptions options;
   options.queue_capacity = 4;
   options.emit_batch = 1;
+  options.shards = GetParam();
   auto rt = ThreadedRuntime::Create(&topology, options);
   ASSERT_TRUE(rt.ok());
 
@@ -379,6 +389,9 @@ TEST(ThreadedReconfigAbortTest, AbortUnblocksInjectorOnFullRing) {
   (*rt)->Finish();  // joins cleanly after an abort
   EXPECT_TRUE((*rt)->aborted());
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, ThreadedReconfigAbortTest,
+                         testing::Values<size_t>(0, 1));
 
 // ---------------------------------------------------------------------------
 // Randomized fault plans under real concurrency (the TSan workhorse).

@@ -1,14 +1,16 @@
 // Copyright 2026 The pkgstream Authors.
-// Tests for ThreadedRuntime's sharded execution mode. Suite names contain
+// Tests for ThreadedRuntime's shard scheduling. Suite names contain
 // "Threaded" so the CI thread-sanitizer job (ctest -R 'Threaded|SpscRing')
 // race-checks the shard drain loop, the shard-granularity parked-consumer
 // gate, and the help-drain path under real concurrency.
 //
-// The contract under test (see threaded_runtime.h): sharded mode changes
-// the thread count and scheduling, never the results. Routed counts are
-// byte-identical to thread-per-instance mode for every technique (routing
-// is producer-side), and with a single source the per-sink arrival order —
-// hence the virtual-service latency histograms — is bit-identical too.
+// The contract under test (see threaded_runtime.h): the shard count
+// changes the thread count and scheduling, never the results. Routed
+// counts are byte-identical for every shard count and every technique
+// (routing is producer-side), and with a single source the per-sink
+// arrival order — hence the virtual-service latency histograms — is
+// bit-identical too. The reference in each comparison is the default,
+// one shard per operator instance.
 
 #include <gtest/gtest.h>
 
@@ -61,8 +63,8 @@ struct CellOutcome {
 /// Single source -> `workers` virtual-service LatencySinks: a fixed,
 /// precomputed Poisson-arrival message sequence injected flat out. The
 /// sink arrival order equals injection order per instance, so both the
-/// routed counts and every histogram statistic must replay exactly across
-/// execution modes.
+/// routed counts and every histogram statistic must replay exactly for
+/// every shard count.
 CellOutcome RunLatencyCell(const partition::PartitionerConfig& config,
                            uint32_t workers, size_t shards, bool pin_shards) {
   const uint64_t kMessages = 6000;
@@ -89,7 +91,7 @@ CellOutcome RunLatencyCell(const partition::PartitionerConfig& config,
   EXPECT_TRUE(topology.Connect(spout, sink, config).ok());
 
   ThreadedRuntimeOptions options;
-  options.queue_capacity = 64;  // some backpressure in every mode
+  options.queue_capacity = 64;  // some backpressure at every shard count
   options.shards = shards;
   options.pin_shards = pin_shards;
   auto rt = ThreadedRuntime::Create(&topology, options);
@@ -170,8 +172,8 @@ TEST(ThreadedShardedTest, PinnedShardsMatchToo) {
 
 TEST(ThreadedShardedTest, ManyMoreInstancesThanShards) {
   // The headline configuration: hundreds of sink instances multiplexed on
-  // a handful of shard threads, still bit-identical to 200 dedicated
-  // threads.
+  // a handful of shard threads, still bit-identical to 200 one-instance
+  // shards.
   const uint32_t kWorkers = 200;
   const partition::PartitionerConfig config =
       ConfigFor(partition::Technique::kDChoices, kWorkers);
@@ -226,12 +228,12 @@ class ThreadedShardedStressTest : public testing::TestWithParam<StressParam> {
 };
 
 TEST_P(ThreadedShardedStressTest, WordCountTotalsMatchLogical) {
-  // The TSan workhorse for sharded mode: a multi-stage topology (spout ->
-  // counter x8 -> aggregator) at queue_capacity=2, concurrent InjectBatch
-  // from one thread per source. Tiny rings force constant backpressure,
-  // so shard threads exercise the help-drain path (a shard blocked
-  // pushing counter->aggregator drains its own aggregator/counters of
-  // higher rank) on every run. Totals must match LogicalRuntime exactly.
+  // The TSan workhorse for shard scheduling: a multi-stage topology
+  // (spout -> counter x8 -> aggregator) at queue_capacity=2, concurrent
+  // InjectBatch from one thread per source. Tiny rings force constant
+  // backpressure, so shard threads exercise the help-drain path (a shard
+  // blocked pushing counter->aggregator drains its own aggregator/counters
+  // of higher rank) on every run. Totals must match LogicalRuntime exactly.
   const auto [technique, shards] = GetParam();
   apps::WordCountTopology wc = apps::MakeWordCountTopology(
       technique, kSources, kWorkers, /*tick=*/0, /*topk=*/5, 42);

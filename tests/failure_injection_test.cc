@@ -211,35 +211,57 @@ TEST(FailureInjectionDeathTest, ThreadedInjectAfterFinishDies) {
   EXPECT_DEATH((*rt)->Inject(engine::NodeId{0}, 0, m), "Finish");
 }
 
-TEST(FailureInjectionDeathTest, FinishDeadlineDumpsStateAndAborts) {
+/// Parameter: ThreadedRuntimeOptions::shards. 0 gives each of the two
+/// operator instances its own shard; 1 packs the wedged instance beside
+/// the live one on a single shard.
+class ThreadedFinishDeadlineDeathTest
+    : public testing::TestWithParam<size_t> {};
+
+TEST_P(ThreadedFinishDeadlineDeathTest, FinishDeadlineDumpsStateAndAborts) {
   // A consumer wedged inside Process forever: Finish() with a deadline must
   // dump the per-instance last-progress picture and abort loudly instead of
   // hanging until the ctest timeout. Everything (threads included) is built
-  // inside the death-test child so the wedge is real.
+  // inside the death-test child so the wedge is real. Instance 0 wedges on
+  // its first message; instance 1 processes normally.
+  const size_t shards = GetParam();
   EXPECT_DEATH(
       {
         engine::Topology topo;
         engine::NodeId s = topo.AddSpout("s", 1);
-        class Wedged final : public engine::Operator {
+        class MaybeWedged final : public engine::Operator {
          public:
+          explicit MaybeWedged(bool wedge) : wedge_(wedge) {}
           void Process(const engine::Message&, engine::Emitter*) override {
-            for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+            while (wedge_) {
+              std::this_thread::sleep_for(std::chrono::seconds(1));
+            }
           }
+
+         private:
+          const bool wedge_;
         };
         engine::NodeId o = topo.AddOperator(
-            "op", [](uint32_t) { return std::make_unique<Wedged>(); }, 1);
+            "op",
+            [](uint32_t i) { return std::make_unique<MaybeWedged>(i == 0); },
+            2);
         PKGSTREAM_CHECK_OK(topo.Connect(s, o, partition::Technique::kShuffle));
         engine::ThreadedRuntimeOptions options;
         options.emit_batch = 1;
         options.finish_deadline_ms = 200;
+        options.shards = shards;
         auto rt = engine::ThreadedRuntime::Create(&topo, options);
         PKGSTREAM_CHECK_OK(rt.status());
         engine::Message m;
+        // Shuffle grouping round-robins: one message reaches each instance.
+        (*rt)->Inject(s, 0, m);
         (*rt)->Inject(s, 0, m);
         (*rt)->Finish();
       },
       "exceeded finish_deadline_ms");
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, ThreadedFinishDeadlineDeathTest,
+                         testing::Values<size_t>(0, 1));
 
 // --------------------------- Fault plan validation ------------------------
 
