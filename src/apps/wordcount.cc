@@ -4,23 +4,49 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace pkgstream {
 namespace apps {
+namespace {
+
+// Table-seed roles (see wordcount.h for why counter and aggregator differ).
+constexpr uint64_t kCounterRole = 1;
+constexpr uint64_t kAggregatorRole = 2;
+
+/// Fmix64 is a bijection, so distinct (role, instance) pairs never share a
+/// seed.
+uint64_t TableSeed(uint64_t role, uint32_t instance) {
+  return Fmix64(role << 32 | instance);
+}
+
+void EmitCount(engine::Emitter* out, Key key, uint64_t count) {
+  engine::Message m;
+  m.key = key;
+  m.i64 = static_cast<int64_t>(count);
+  m.tag = kTagPartialCount;
+  out->Emit(m);
+}
+
+}  // namespace
 
 WordCountCounter::WordCountCounter(CounterMode mode, size_t topk)
-    : mode_(mode), topk_(topk) {}
+    : mode_(mode), topk_(topk), counts_(TableSeed(kCounterRole, 0)) {}
+
+void WordCountCounter::Open(const engine::OperatorContext& ctx) {
+  counts_.Reseed(TableSeed(kCounterRole, ctx.instance));
+}
 
 void WordCountCounter::Process(const engine::Message& msg,
                                engine::Emitter* out) {
   (void)out;
   PKGSTREAM_DCHECK(msg.tag == kTagWord);
-  ++counts_[msg.key];
+  counts_.Add(msg.key);
 }
 
-void WordCountCounter::EmitSnapshot(engine::Emitter* out, bool flush) {
-  if (mode_ == CounterMode::kRunningTotals && !flush) {
+void WordCountCounter::Tick(uint64_t /*now*/, engine::Emitter* out) {
+  if (mode_ == CounterMode::kRunningTotals) {
     // KG: only the local top-k needs to travel; totals stay here.
     std::vector<std::pair<Key, uint64_t>> items(counts_.begin(),
                                                 counts_.end());
@@ -31,49 +57,45 @@ void WordCountCounter::EmitSnapshot(engine::Emitter* out, bool flush) {
                         return a.first < b.first;
                       });
     for (size_t i = 0; i < k; ++i) {
-      engine::Message m;
-      m.key = items[i].first;
-      m.i64 = static_cast<int64_t>(items[i].second);
-      m.tag = kTagPartialCount;
-      out->Emit(m);
+      EmitCount(out, items[i].first, items[i].second);
     }
     return;
   }
-  // Partial mode (or final KG flush): ship every counter downstream.
-  // Deterministic order: sort by key.
-  std::vector<std::pair<Key, uint64_t>> items(counts_.begin(), counts_.end());
+  // Periodic partial flush, in key order (see wordcount.h).
+  std::vector<std::pair<Key, uint64_t>> items;
+  items.reserve(counts_.size());
+  counts_.Drain(
+      [&items](Key key, uint64_t count) { items.emplace_back(key, count); });
   std::sort(items.begin(), items.end());
-  for (const auto& [key, count] : items) {
-    engine::Message m;
-    m.key = key;
-    m.i64 = static_cast<int64_t>(count);
-    m.tag = kTagPartialCount;
-    out->Emit(m);
-  }
-  if (mode_ == CounterMode::kPartialCounts) counts_.clear();
-}
-
-void WordCountCounter::Tick(uint64_t /*now*/, engine::Emitter* out) {
-  EmitSnapshot(out, /*flush=*/false);
+  for (const auto& [key, count] : items) EmitCount(out, key, count);
 }
 
 void WordCountCounter::Close(engine::Emitter* out) {
-  EmitSnapshot(out, /*flush=*/true);
+  // Final flush: every counter, straight from the table in slot order.
+  auto emit = [out](Key key, uint64_t count) { EmitCount(out, key, count); };
+  if (mode_ == CounterMode::kPartialCounts) {
+    counts_.Drain(emit);
+  } else {
+    for (const auto& [key, count] : counts_) emit(key, count);
+  }
 }
 
 TopKAggregator::TopKAggregator(CounterMode mode, size_t topk)
-    : mode_(mode), topk_(topk) {}
+    : mode_(mode), topk_(topk), totals_(TableSeed(kAggregatorRole, 0)) {}
+
+void TopKAggregator::Open(const engine::OperatorContext& ctx) {
+  totals_.Reseed(TableSeed(kAggregatorRole, ctx.instance));
+}
 
 void TopKAggregator::Process(const engine::Message& msg,
                              engine::Emitter* out) {
   (void)out;
   PKGSTREAM_DCHECK(msg.tag == kTagPartialCount);
   if (mode_ == CounterMode::kPartialCounts) {
-    totals_[msg.key] += static_cast<uint64_t>(msg.i64);
+    totals_.Add(msg.key, static_cast<uint64_t>(msg.i64));
   } else {
     // Running totals: later snapshots supersede earlier ones.
-    totals_[msg.key] =
-        std::max(totals_[msg.key], static_cast<uint64_t>(msg.i64));
+    totals_.Max(msg.key, static_cast<uint64_t>(msg.i64));
   }
 }
 

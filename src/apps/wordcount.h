@@ -11,14 +11,29 @@
 //    several workers; on every tick the counter flushes *all* partial
 //    counters downstream and clears them. Memory and aggregation costs are
 //    the O(2K) vs O(WK) comparison of Section III-A.
+//
+// Counter and aggregator state are FlatCounter tables (common/flat_counter.h).
+// The final flush (Close) walks the counter's table once in slot order,
+// emitting and emptying each slot: no copy, no sort. A periodic partial flush
+// (Tick) still emits in key order: the event simulator samples the
+// aggregator's distinct keys while such a flush is in flight, so its order is
+// part of Figure 5(b)'s memory curve (slot order moves it by up to 0.2%).
+//
+// Slot order is hash order, so the aggregator receives each counter's final
+// flush sorted by that counter's hash. Were the aggregator to hash the same
+// way, those keys would arrive sorted by its own home slots and pile into one
+// region of its growing table, clustering its linear probing. Each table
+// therefore gets its own seed, derived from a per-role constant and the
+// instance index (never from addresses or time): counters and aggregator
+// never share one, and the emitted order stays reproducible run to run.
 
 #ifndef PKGSTREAM_APPS_WORDCOUNT_H_
 #define PKGSTREAM_APPS_WORDCOUNT_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_counter.h"
 #include "engine/operator.h"
 #include "engine/topology.h"
 #include "partition/factory.h"
@@ -41,19 +56,19 @@ class WordCountCounter final : public engine::Operator {
  public:
   WordCountCounter(CounterMode mode, size_t topk);
 
+  /// Seeds the table for this instance.
+  void Open(const engine::OperatorContext& ctx) override;
   void Process(const engine::Message& msg, engine::Emitter* out) override;
   void Tick(uint64_t now, engine::Emitter* out) override;
   void Close(engine::Emitter* out) override;
   uint64_t MemoryCounters() const override { return counts_.size(); }
 
-  const std::unordered_map<Key, uint64_t>& counts() const { return counts_; }
+  const FlatCounter& counts() const { return counts_; }
 
  private:
-  void EmitSnapshot(engine::Emitter* out, bool flush);
-
   CounterMode mode_;
   size_t topk_;
-  std::unordered_map<Key, uint64_t> counts_;
+  FlatCounter counts_;
 };
 
 /// \brief The single-instance aggregator computing the global top-k.
@@ -61,6 +76,8 @@ class TopKAggregator final : public engine::Operator {
  public:
   TopKAggregator(CounterMode mode, size_t topk);
 
+  /// Seeds the table for this instance.
+  void Open(const engine::OperatorContext& ctx) override;
   void Process(const engine::Message& msg, engine::Emitter* out) override;
   void Tick(uint64_t now, engine::Emitter* out) override;
   uint64_t MemoryCounters() const override { return totals_.size(); }
@@ -68,13 +85,13 @@ class TopKAggregator final : public engine::Operator {
   /// Current top-k (key, count), recomputed on access.
   std::vector<std::pair<Key, uint64_t>> TopK() const;
 
-  const std::unordered_map<Key, uint64_t>& totals() const { return totals_; }
+  const FlatCounter& totals() const { return totals_; }
 
  private:
   CounterMode mode_;
   size_t topk_;
   /// kPartialCounts: accumulated totals; kRunningTotals: latest snapshot.
-  std::unordered_map<Key, uint64_t> totals_;
+  FlatCounter totals_;
 };
 
 /// \brief Assembled word-count topology handles.

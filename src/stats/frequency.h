@@ -8,10 +8,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_counter.h"
 #include "common/types.h"
 
 namespace pkgstream {
@@ -22,13 +22,13 @@ class FrequencyTable {
  public:
   /// Records one occurrence of `key`.
   void Add(Key key) {
-    ++counts_[key];
+    counts_.Add(key);
     ++total_;
   }
 
-  /// Records `count` occurrences of `key`.
+  /// Records `count` occurrences of `key`; a count of 0 records nothing.
   void Add(Key key, uint64_t count) {
-    counts_[key] += count;
+    counts_.Add(key, count);
     total_ += count;
   }
 
@@ -39,10 +39,7 @@ class FrequencyTable {
   uint64_t distinct() const { return counts_.size(); }
 
   /// Count of `key`; 0 when unseen.
-  uint64_t Count(Key key) const {
-    auto it = counts_.find(key);
-    return it == counts_.end() ? 0 : it->second;
-  }
+  uint64_t Count(Key key) const { return counts_.Count(key); }
 
   /// (key, count) pairs sorted by decreasing count, ties by key for
   /// determinism. When k > 0, only the top k are returned.
@@ -51,11 +48,8 @@ class FrequencyTable {
   /// Probability of the most frequent key (Table I's p1); 0 when empty.
   double HeadProbability() const;
 
-  /// Read-only access to the underlying map.
-  const std::unordered_map<Key, uint64_t>& counts() const { return counts_; }
-
  private:
-  std::unordered_map<Key, uint64_t> counts_;
+  FlatCounter counts_{/*seed=*/0};
   uint64_t total_ = 0;
 };
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "apps/wordcount.h"
 #include "engine/logical_runtime.h"
@@ -140,6 +143,103 @@ TEST(WordCountTest, RunningModeKeepsCountersOnTick) {
   counter.Process(m, &emitter);
   counter.Tick(0, &emitter);
   EXPECT_EQ(counter.MemoryCounters(), 1u);
+}
+
+/// Records every message it sees, in arrival order.
+class RecordingEmitter : public engine::Emitter {
+ public:
+  void Emit(const Message& m) override { seen.emplace_back(m.key, m.i64); }
+  std::vector<std::pair<Key, int64_t>> seen;
+};
+
+TEST(WordCountTest, PartialFlushEmitsEachKeyOnceThenHoldsNothing) {
+  for (bool at_close : {false, true}) {
+    WordCountCounter counter(CounterMode::kPartialCounts, 5);
+    RecordingEmitter emitter;
+    std::map<Key, int64_t> held;
+    Rng rng(3);
+    for (int i = 0; i < 5000; ++i) {
+      Message m;
+      m.key = rng.Next() % 700;
+      m.tag = kTagWord;
+      ++held[m.key];
+      counter.Process(m, &emitter);
+    }
+    ASSERT_TRUE(emitter.seen.empty());
+    ASSERT_EQ(counter.MemoryCounters(), held.size());
+    if (at_close) {
+      counter.Close(&emitter);
+    } else {
+      counter.Tick(0, &emitter);
+    }
+    // Exactly once per key, each with its full count.
+    ASSERT_EQ(emitter.seen.size(), held.size());
+    std::map<Key, int64_t> emitted(emitter.seen.begin(), emitter.seen.end());
+    EXPECT_EQ(emitted, held);
+    EXPECT_EQ(counter.MemoryCounters(), 0u);
+    EXPECT_TRUE(counter.counts().empty());
+    // Nothing is left to flush a second time.
+    emitter.seen.clear();
+    counter.Tick(1, &emitter);
+    EXPECT_TRUE(emitter.seen.empty());
+  }
+}
+
+/// Passes every message into a shared log, in arrival order.
+class LogOperator final : public engine::Operator {
+ public:
+  explicit LogOperator(std::vector<std::pair<Key, int64_t>>* log)
+      : log_(log) {}
+  void Process(const Message& m, engine::Emitter*) override {
+    log_->emplace_back(m.key, m.i64);
+  }
+
+ private:
+  std::vector<std::pair<Key, int64_t>>* log_;
+};
+
+TEST(WordCountTest, SlotOrderFlushIsDeterministicAcrossRuns) {
+  auto run = [] {
+    std::vector<std::pair<Key, int64_t>> log;
+    engine::Topology topology;
+    auto spout = topology.AddSpout("words", 2);
+    auto counter = topology.AddOperator(
+        "counter",
+        [](uint32_t) {
+          return std::make_unique<WordCountCounter>(
+              CounterMode::kPartialCounts, 5);
+        },
+        4);
+    auto sink = topology.AddOperator(
+        "log", [&log](uint32_t) { return std::make_unique<LogOperator>(&log); },
+        1);
+    topology.SetTickPeriod(counter, 700);
+    EXPECT_TRUE(
+        topology.Connect(spout, counter, partition::Technique::kPkgLocal, 42)
+            .ok());
+    EXPECT_TRUE(
+        topology.Connect(counter, sink, partition::Technique::kHashing, 43)
+            .ok());
+    auto rt = LogicalRuntime::Create(&topology);
+    EXPECT_TRUE(rt.ok());
+    auto dist = std::make_shared<workload::StaticDistribution>(
+        workload::ZipfWeights(2000, 1.0), "zipf");
+    Rng rng(11);
+    for (int i = 0; i < 6000; ++i) {
+      Message m;
+      m.key = dist->Sample(&rng);
+      m.tag = kTagWord;
+      (*rt)->Inject(spout, static_cast<SourceId>(i % 2), m);
+    }
+    (*rt)->Finish();
+    return log;
+  };
+  const auto first = run();
+  ASSERT_FALSE(first.empty());
+  int64_t total = 0;
+  for (const auto& [_, count] : first) total += count;
+  EXPECT_EQ(total, 6000);
+  EXPECT_EQ(run(), first);
 }
 
 TEST(WordCountTest, MemoryOrderingPkgBetweenKgAndSg) {
